@@ -19,7 +19,7 @@ from .generators import (IntervalSet, interval_union_edges_only, rag1_edges_only
                          rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi
 from .graph import Graph
-from .recovery import UNASSIGNED, UnionFind
+from .recovery import UNASSIGNED, _components
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,7 @@ def node_error_rate(pred, truth) -> float:
 
 
 def component_count(graph: Graph) -> int:
-    uf = UnionFind(graph.n)
-    for u, v in graph.edges:
-        uf.union(int(u), int(v))
-    return uf.n_components
+    return _components(graph.n, graph.edges[:, 0], graph.edges[:, 1])[0]
 
 
 def is_connected(graph: Graph) -> bool:
@@ -108,14 +105,8 @@ def is_connected(graph: Graph) -> bool:
 
 
 def _components_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> int:
-    """Component count via sparse BFS; fast path for large Monte-Carlo sweeps."""
-    import scipy.sparse as sp
-    import scipy.sparse.csgraph as csgraph
-    if len(u) == 0:
-        return n
-    m = sp.coo_matrix((np.ones(len(u), dtype=np.int8), (u, v)), shape=(n, n))
-    ncomp, _ = csgraph.connected_components(m, directed=False)
-    return int(ncomp)
+    """Component count of raw edge arrays, for large Monte-Carlo sweeps."""
+    return _components(n, u, v)[0]
 
 
 def isolated_count(graph: Graph) -> int:

@@ -5,7 +5,8 @@ dense, phase, eval.  Every run writes machine-readable output (JSON or
 CSV) that embeds the resolved configuration, the tool version and the
 seed, so any artifact can be regenerated exactly.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible parameter regime.
+Exit codes: 0 success, 1 usage error or bad input (unreadable file,
+malformed value), 2 infeasible parameter regime.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ def build_parser() -> _Parser:
     rc.add_argument("--b", type=float, required=True)
     rc.add_argument("--divergence-target", type=float, default=None,
                     help="default: finite-size exponent 1 + 2 loglog n / log n")
-    rc.add_argument("--fast-mode", action="store_true")
     rc.add_argument("--decisions-csv", default=None, help="write per-edge u,v,count,kept")
     rc.add_argument("--out", default="-")
 
@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
     _add_radii_flags(rh)
     rh.add_argument("--cs", type=float, default=1.0)
     rh.add_argument("--cd", type=float, default=1.0)
-    rh.add_argument("--fast-mode", action="store_true")
     rh.add_argument("--out", default="-")
 
     rl = sub.add_parser("recover-loc", help="location-aware recovery from embeddings")
@@ -209,15 +208,13 @@ def _cmd_recover(args) -> int:
     g, _ = graphio.read_graph(args.inp)
     res = recovery.recover_gbm1(g, args.a, args.b,
                                 divergence_target=args.divergence_target,
-                                fast_mode=args.fast_mode,
                                 keep_decisions=args.decisions_csv is not None)
     if args.decisions_csv and res.decisions is not None:
         _emit_csv(args.decisions_csv, "u,v,count,kept",
                   res.decisions.tolist(), {"cmd": "recover", "in": args.inp})
     _emit_json(args.out, {
         "params": {"cmd": "recover", "in": args.inp, "a": args.a, "b": args.b,
-                   "divergence_target": res.thresholds.divergence_target,
-                   "fast_mode": args.fast_mode},
+                   "divergence_target": res.thresholds.divergence_target},
         "thresholds": res.thresholds.to_dict(),
         "stats": res.stats,
         "labels": res.labels.tolist(),
@@ -229,8 +226,7 @@ def _cmd_recover_hd(args) -> int:
     g, _ = graphio.read_graph(args.inp)
     t = args.t
     rs, rd = _resolve_radii(args, g.n, t)
-    res = recovery.recover_gbm_hd(g, t, rs, rd, c_s=args.cs, c_d=args.cd,
-                                  fast_mode=args.fast_mode)
+    res = recovery.recover_gbm_hd(g, t, rs, rd, c_s=args.cs, c_d=args.cd)
     _emit_json(args.out, {
         "params": {"cmd": "recover-hd", "in": args.inp, "t": t, "r_s": rs, "r_d": rd,
                    "c_s": args.cs, "c_d": args.cd},
@@ -288,8 +284,10 @@ def _cmd_dense(args) -> int:
 def _cmd_phase(args) -> int:
     pts = []
     for tok in args.points.split(","):
-        a_str, b_str = tok.split(":")
-        pts.append((float(a_str), float(b_str)))
+        ab = tok.split(":")
+        if len(ab) != 2:
+            raise ValueError(f"malformed point {tok!r} in --points; expected a:b")
+        pts.append((float(ab[0]), float(ab[1])))
     out = analysis.phase_sweep(args.n, pts, args.trials, args.seed,
                                family=args.family, t=args.t, c=args.c, jobs=args.jobs)
     cfg = {"cmd": "phase", "n": args.n, "trials": args.trials, "seed": args.seed,
@@ -331,6 +329,9 @@ def run(argv=None) -> int:
     except thresholds.RegimeError as exc:
         print(f"infeasible regime: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

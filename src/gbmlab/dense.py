@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .graph import Graph
-from .recovery import UNASSIGNED, UnionFind
+from .recovery import UNASSIGNED, _components
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -191,10 +191,7 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     uu, vv, counts = _subsample_counts(adj)
     kept = (counts >= plan.E_S) | (counts <= plan.E_D)
 
-    uf = UnionFind(h)
-    for u, v in zip(uu[kept], vv[kept]):
-        uf.union(int(u), int(v))
-    comp = uf.component_labels()
+    _, comp = _components(h, uu[kept], vv[kept])
     ids, sizes = np.unique(comp, return_counts=True)
     order = np.lexsort((ids, -sizes))
     c1_local = np.nonzero(comp == ids[order[0]])[0] if len(ids) >= 1 else np.empty(0, np.int64)

@@ -43,35 +43,56 @@ class Graph:
         return a
 
     def packed_rows(self) -> np.ndarray:
-        """Bit-packed adjacency rows as uint64 words, for bulk intersection counts."""
-        bits = np.packbits(self.adjacency_bool(), axis=1)
-        pad = (-bits.shape[1]) % 8
-        if pad:
-            bits = np.concatenate([bits, np.zeros((self.n, pad), np.uint8)], axis=1)
-        return np.ascontiguousarray(bits).view(np.uint64)
+        """Bit-packed adjacency rows as uint64 words, for bulk intersection counts.
+
+        Bits are set straight from the CSR arrays in np.packbits order (the
+        first column in the most significant bit of byte 0), with each row
+        zero-padded to whole words.
+        """
+        words = -(-self.n // 64)
+        row_bytes = 8 * words
+        flat = np.zeros(self.n * row_bytes, dtype=np.uint8)
+        bits = np.left_shift(np.uint8(1), (~self.indices & 7).astype(np.uint8))
+        at = np.repeat(np.arange(self.n, dtype=np.int64) * row_bytes, self.degrees())
+        at += self.indices >> 3
+        # neighbors are distinct, so adding distinct bits of one byte is an or
+        np.add.at(flat, at, bits)
+        return flat.view(np.uint64).reshape(self.n, words)
 
     def validate(self) -> None:
         """Check simplicity, symmetry and sortedness; raises on violation."""
-        if self.indptr.shape != (self.n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+        n, indptr, indices = self.n, self.indptr, self.indices
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices)
+                or np.any(np.diff(indptr) < 0)):
             raise ValueError("malformed indptr")
-        for u in range(self.n):
-            nbrs = self.neighbors(u)
-            if len(nbrs) and (np.any(np.diff(nbrs) <= 0) or np.any(nbrs == u)):
-                raise ValueError(f"adjacency of vertex {u} not strictly sorted / has self-loop")
-        if self.m:
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            if np.any(u >= v):
-                raise ValueError("edge list not in u < v form")
-            enc = u.astype(np.int64) * self.n + v
-            if len(np.unique(enc)) != self.m:
-                raise ValueError("duplicate edges")
-            deg_from_edges = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-            if not np.array_equal(deg_from_edges, self.degrees()):
-                raise ValueError("edge list inconsistent with adjacency")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError("neighbor id out of range")
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+        csr_keys = rows * n + indices
+        bad = np.flatnonzero(csr_keys[1:] <= csr_keys[:-1]) + 1
+        loops = np.flatnonzero(indices == rows)
+        if len(bad) or len(loops):
+            u = min(rows[bad[:1]].tolist() + rows[loops[:1]].tolist())
+            raise ValueError(f"adjacency of vertex {u} not strictly sorted / has self-loop")
+        u, v = self.edges[:, 0].astype(np.int64), self.edges[:, 1].astype(np.int64)
+        if np.any(u >= v):
+            raise ValueError("edge list not in u < v form")
+        keys = u * n + v
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("edge list not strictly sorted (duplicate edges?)")
+        both = np.concatenate([keys, v * n + u])
+        both.sort()
+        if not np.array_equal(both, csr_keys):
+            raise ValueError("edge list inconsistent with adjacency")
 
 
 def from_edges(n: int, u, v, validate: bool = False) -> Graph:
-    """Build a Graph from parallel endpoint arrays (any orientation, no duplicates)."""
+    """Build a Graph from parallel endpoint arrays (any orientation).
+
+    Raises ValueError on a self-loop or a pair given twice.  Edges are
+    sorted once by the key lo * n + hi; the CSR arrays come from one sort
+    of the keys of both orientations.
+    """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if len(u) != len(v):
@@ -80,16 +101,22 @@ def from_edges(n: int, u, v, validate: bool = False) -> Graph:
         raise ValueError("vertex id out of range")
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    order = np.lexsort((hi, lo))
-    edges = np.stack([lo[order], hi[order]], axis=1).astype(np.int32)
-
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order2 = np.lexsort((dst, src))
-    indices = dst[order2].astype(np.int32)
-    counts = np.bincount(src, minlength=n)
+    if np.any(lo == hi):
+        raise ValueError(f"self-loop at vertex {int(lo[np.argmax(lo == hi)])}")
+    keys = lo * n + hi
+    keys.sort()
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
+    if len(dup):
+        raise ValueError(f"duplicate edge {divmod(int(keys[dup[0]]), n)}")
+    lo, hi = np.divmod(keys, n)
+    edges = np.empty((len(keys), 2), dtype=np.int32)
+    edges[:, 0] = lo
+    edges[:, 1] = hi
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+    both = np.concatenate([keys, hi * n + lo])
+    both.sort()
+    indices = np.remainder(both, n, out=both).astype(np.int32)
     g = Graph(n=int(n), indptr=indptr, indices=indices, edges=edges)
     if validate:
         g.validate()
@@ -104,12 +131,17 @@ def empty_graph(n: int) -> Graph:
 # text formats (ASCII, LF endings)
 # ---------------------------------------------------------------------------
 
+#: write_graph formats this many edges per string
+_WRITE_CHUNK = 1 << 16
+
+
 def write_graph(path: str, graph: Graph, t: int = 1) -> None:
     """Write `n m t` header then one `u v` line per edge, 0-indexed with u < v."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{graph.n} {graph.m} {t}\n")
-        for u, v in graph.edges:
-            fh.write(f"{u} {v}\n")
+        for i0 in range(0, graph.m, _WRITE_CHUNK):
+            chunk = graph.edges[i0:i0 + _WRITE_CHUNK]
+            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_graph(path: str) -> tuple[Graph, int]:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph
 from .thresholds import (ThresholdSet1D, finite_size_exponent, thresholds_1d,
@@ -25,51 +27,26 @@ from .thresholds import (ThresholdSet1D, finite_size_exponent, thresholds_1d,
 UNASSIGNED = -1
 
 
-class UnionFind:
-    """Array union-find with path compression and union by size."""
+def _components(n: int, u, v) -> tuple[int, np.ndarray]:
+    """(count, smallest-member id per vertex) of the undirected graph on pairs u-v.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_components = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.n_components -= 1
-        return True
-
-    def component_labels(self) -> np.ndarray:
-        """Per-element component id, canonicalized to the smallest member."""
-        n = len(self.parent)
-        roots = np.fromiter((self.find(i) for i in range(n)), dtype=np.int64, count=n)
-        canon = np.full(n, -1, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            canon[roots[i]] = i
-        return canon[roots]
+    The one components engine of the package: scipy's csgraph search plus
+    a minimum over each component's members.  Repeated pairs are allowed.
+    """
+    u = np.asarray(u)
+    if len(u) == 0:
+        return n, np.arange(n, dtype=np.int64)
+    adj = sp.coo_matrix((np.ones(len(u), dtype=np.int8), (u, np.asarray(v))), shape=(n, n))
+    ncomp, raw = csgraph.connected_components(adj, directed=False)
+    smallest = np.full(ncomp, n, dtype=np.int64)
+    np.minimum.at(smallest, raw, np.arange(n, dtype=np.int64))
+    return int(ncomp), smallest[raw]
 
 
 def connected_components(n: int, edges) -> np.ndarray:
     """Component id per vertex (smallest member id) from an edge array."""
-    uf = UnionFind(n)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    for u, v in edges:
-        uf.union(int(u), int(v))
-    return uf.component_labels()
+    edges = np.asarray(edges).reshape(-1, 2)
+    return _components(n, edges[:, 0], edges[:, 1])[1]
 
 
 def common_neighbor_count(graph: Graph, u: int, v: int) -> int:
@@ -144,44 +121,23 @@ def _label_two_largest(n: int, comp: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def _filter_and_label(graph: Graph, keep_counts, thresholds,
-                      fast_mode: bool, keep_decisions: bool) -> RecoveryResult:
+                      keep_decisions: bool) -> RecoveryResult:
     """keep_counts maps an int64 count array to a boolean keep mask."""
     n = graph.n
     edges = graph.edges
-    if fast_mode:
-        # examine edges in order, skipping pairs already in one component;
-        # final components match the default mode, fewer counts are computed
-        uf = UnionFind(n)
-        kept = 0
-        examined = 0
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if uf.find(u) == uf.find(v):
-                continue
-            examined += 1
-            c = common_neighbor_count(graph, u, v)
-            if bool(keep_counts(np.array([c], dtype=np.int64))[0]):
-                uf.union(u, v)
-                kept += 1
-        comp = uf.component_labels()
-        counts = kept_mask = None
-        stats = {"edges_total": graph.m, "edges_examined": examined,
-                 "edges_removed": examined - kept, "fast_mode": True}
+    if graph.m:
+        counts = bulk_common_neighbor_counts(graph, edges[:, 0], edges[:, 1])
+        kept_mask = keep_counts(counts)
     else:
-        if graph.m:
-            counts = bulk_common_neighbor_counts(graph, edges[:, 0], edges[:, 1])
-            kept_mask = keep_counts(counts)
-        else:
-            counts = np.empty(0, np.int64)
-            kept_mask = np.empty(0, bool)
-        comp = connected_components(n, edges[kept_mask])
-        stats = {"edges_total": graph.m,
-                 "edges_removed": int(graph.m - kept_mask.sum()),
-                 "fast_mode": False}
+        counts = np.empty(0, np.int64)
+        kept_mask = np.empty(0, bool)
+    comp = connected_components(n, edges[kept_mask])
+    stats = {"edges_total": graph.m,
+             "edges_removed": int(graph.m - kept_mask.sum())}
     labels, info = _label_two_largest(n, comp)
     stats.update(info)
     decisions = None
-    if keep_decisions and not fast_mode and graph.m:
+    if keep_decisions and graph.m:
         decisions = np.column_stack([edges[:, 0], edges[:, 1], counts,
                                      kept_mask.astype(np.int64)])
     return RecoveryResult(labels=labels, components=comp, stats=stats,
@@ -190,7 +146,6 @@ def _filter_and_label(graph: Graph, keep_counts, thresholds,
 
 def recover_gbm1(graph: Graph, a: float, b: float, *,
                  divergence_target: Optional[float] = None,
-                 fast_mode: bool = False,
                  keep_decisions: bool = False) -> RecoveryResult:
     """Run the filter + components pipeline on a circle block-model graph.
 
@@ -211,59 +166,19 @@ def recover_gbm1(graph: Graph, a: float, b: float, *,
             k |= counts <= n_ed
         return k
 
-    return _filter_and_label(graph, keep_counts, thr, fast_mode, keep_decisions)
+    return _filter_and_label(graph, keep_counts, thr, keep_decisions)
 
 
 def recover_gbm_hd(graph: Graph, t: int, r_s: float, r_d: float, *,
                    c_s: float = 1.0, c_d: float = 1.0,
-                   fast_mode: bool = False,
-                   keep_decisions: bool = False) -> RecoveryResult:
+                     keep_decisions: bool = False) -> RecoveryResult:
     """Same pipeline with absolute-count thresholds for sphere instances."""
     thr = thresholds_hd(graph.n, t, r_s, r_d, c_s, c_d)
 
     def keep_counts(counts):
         return (counts >= thr.E_S) | (counts <= thr.E_D)
 
-    return _filter_and_label(graph, keep_counts, thr, fast_mode, keep_decisions)
-
-
-class _ParityUnionFind:
-    """Union-find tracking each element's parity relative to its root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.parity = [0] * n   # xor along the path to the root
-        self.n_components = n
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        root = x
-        while self.parent[root] != root:
-            path.append(root)
-            root = self.parent[root]
-        par = 0
-        for node in reversed(path):
-            par ^= self.parity[node]
-            self.parity[node] = par
-            self.parent[node] = root
-        return root, self.parity[x]
-
-    def union(self, x: int, y: int, rel: int) -> bool:
-        """Impose parity(x) xor parity(y) = rel; False on contradiction."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        self.n_components -= 1
-        return True
+    return _filter_and_label(graph, keep_counts, thr, keep_decisions)
 
 
 @dataclass
@@ -280,41 +195,51 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
 
     Every pair at distance within [r_d, r_s] is informative: an edge
     forces the pair into one cluster, a non-edge into different clusters.
-    Constraints are propagated by parity union-find.  The largest
-    constraint component is labeled; vertices in other components stay
-    unassigned.  A contradiction means the input was not generated by a
-    block model with these radii.
+    The constraints are solved as components of their signed double cover
+    on 2n vertices, where vertex u + n stands for "u in the other cluster":
+    a same pair links u-v and (u+n)-(v+n), a different pair u-(v+n) and
+    (u+n)-v.  The constraints contradict each other iff some u shares a
+    component with u + n; that means the input was not generated by a
+    block model with these radii (status "conflict", no labels).
+    Otherwise the largest constraint component (ties: the one with the
+    smallest member) is labeled, its smallest vertex with 0; vertices in
+    other components stay unassigned.  `components_count` counts the
+    components of the constraint graph over all pairs, singletons included,
+    on either status.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 1:
         raise ValueError("location-aware recovery expects circle embeddings")
-    from .generators import _circle_band_pairs
     n = graph.n
+    if len(embeddings) != n:
+        raise ValueError(f"{len(embeddings)} embeddings for a graph on {n} vertices")
+    from .generators import _circle_band_pairs
     us, vs, _ = _circle_band_pairs(embeddings, r_d, r_s)
-    if len(us):
-        enc_edges = graph.edges[:, 0].astype(np.int64) * n + graph.edges[:, 1]
-        enc = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
-        is_edge = np.isin(enc, enc_edges)
-    else:
-        is_edge = np.empty(0, bool)
-
-    uf = _ParityUnionFind(n)
-    for u, v, same in zip(us, vs, is_edge):
-        if not uf.union(int(u), int(v), 0 if same else 1):
-            return LocationRecovery(labels=None, status="conflict",
-                                    components_count=uf.n_components,
-                                    constrained_pairs=len(us))
-    roots = np.empty(n, dtype=np.int64)
-    pars = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        r, p = uf.find(i)
-        roots[i] = r
-        pars[i] = p
-    ids, counts = np.unique(roots, return_counts=True)
-    big = ids[np.lexsort((ids, -counts))[0]]
+    pairs = len(us)
+    us = us.astype(np.int32)
+    vs = vs.astype(np.int32)
+    # graph.edges is sorted by lo * n + hi; the sentinel n * n closes the search
+    edge_keys = np.append(graph.edges[:, 0].astype(np.int64) * n + graph.edges[:, 1], n * n)
+    keys = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
+    is_edge = edge_keys[np.searchsorted(edge_keys, keys)] == keys
+    shift = np.where(is_edge, 0, n).astype(np.int32)   # 0: same pair, n: different pair
+    del edge_keys, keys, is_edge
+    src = np.concatenate([us, us + np.int32(n)])
+    dst = np.concatenate([vs + shift, vs + (np.int32(n) - shift)])
+    del us, vs, shift
+    _, cid = _components(2 * n, src, dst)
+    del src, dst
+    # the smallest member of a constraint component is the smallest member of
+    # one of its two cover components
+    comp = np.minimum(cid[:n], cid[n:])
+    components_count = int((comp == np.arange(n)).sum())
+    if np.any(cid[:n] == cid[n:]):
+        return LocationRecovery(labels=None, status="conflict",
+                                components_count=components_count,
+                                constrained_pairs=pairs)
+    in_big = comp == np.argmax(np.bincount(comp, minlength=n))
     labels = np.full(n, UNASSIGNED, dtype=np.int8)
-    in_big = roots == big
-    labels[in_big] = pars[in_big]
+    labels[in_big] = (cid[:n][in_big] != comp[in_big]).astype(np.int8)
     return LocationRecovery(labels=labels, status="ok",
-                            components_count=int(len(ids)),
-                            constrained_pairs=len(us))
+                            components_count=components_count,
+                            constrained_pairs=pairs)

@@ -5,7 +5,6 @@ import pytest
 
 from gbmlab import analysis as ana
 from gbmlab import generators as gen
-from gbmlab import recovery as rec
 from gbmlab.geometry import psi
 from gbmlab.graph import from_edges, empty_graph
 from gbmlab.rng import substream
@@ -89,10 +88,12 @@ class TestComponents:
         assert ana.component_count(empty_graph(9)) == 9
 
     def test_union_count_identity(self):
-        # components = n - (number of merging unions)
+        # components = n - (number of merging unions); a BFS forest merges
+        # every vertex other than its component's root once
+        from test_recovery import bfs_components
         inst = gen.gen_gbm1(500, 0.01, 0.002, seed=8)
-        uf = rec.UnionFind(500)
-        merges = sum(uf.union(int(u), int(v)) for u, v in inst.graph.edges)
+        comp = bfs_components(500, inst.graph.edges)
+        merges = int((comp != np.arange(500)).sum())
         assert ana.component_count(inst.graph) == 500 - merges
 
     def test_matches_bfs_oracle(self):
@@ -104,9 +105,8 @@ class TestComponents:
             u = rng.integers(0, n, m)
             v = rng.integers(0, n, m)
             keep = u != v
-            g = from_edges(n, u[keep], v[keep])
-            # from_edges dedupes nothing; drop duplicate pairs first
-            enc = np.unique(g.edges[:, 0].astype(np.int64) * n + g.edges[:, 1])
+            # from_edges rejects repeated pairs; drop them first
+            enc = np.unique(np.minimum(u[keep], v[keep]) * n + np.maximum(u[keep], v[keep]))
             g = from_edges(n, enc // n, enc % n)
             want = len(np.unique(bfs_components(n, g.edges.tolist())))
             assert ana.component_count(g) == want

@@ -153,3 +153,24 @@ class TestExitCodes:
 
     def test_infeasible_regime(self):
         assert run_cli("thresholds", "--n", "100", "--a", "1", "--b", "1") == 2
+
+    def test_missing_input_file_clean_error(self, tmp_path, capsys):
+        assert run_cli("recover", "--in", str(tmp_path / "missing.graph.txt"),
+                       "--a", "13", "--b", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_malformed_phase_point_clean_error(self, capsys):
+        assert run_cli("phase", "--n", "100", "--points", "1.6") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1.6" in err and len(err.splitlines()) == 1
+
+    def test_generator_radius_error_clean(self, tmp_path, capsys):
+        assert run_cli("gen", "--n", "100", "--rs", "0.1", "--rd", "0.3",
+                       "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_removed_fast_mode_flag_is_usage_error(self, tmp_path):
+        assert run_cli("recover", "--in", str(tmp_path / "g.graph.txt"), "--a", "13",
+                       "--b", "1", "--fast-mode") == 1

@@ -213,3 +213,37 @@ class TestGraphIO(object):
         gr.write_embeddings(str(pe), inst.embeddings)
         emb = gr.read_embeddings(str(pe))
         assert emb.ndim == 1 and np.array_equal(emb, inst.embeddings)
+
+    def test_duplicate_edge_file_rejected(self, tmp_path):
+        p = tmp_path / "dup.txt"
+        p.write_text("3 2 1\n0 1\n0 1\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            gr.read_graph(str(p))
+
+    def test_self_loop_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="self-loop"):
+            gr.from_edges(3, [0, 2], [1, 2])
+        p = tmp_path / "loop.txt"
+        p.write_text("3 1 1\n1 1\n")
+        with pytest.raises(ValueError, match="self-loop"):
+            gr.read_graph(str(p))
+
+    def test_corrupted_csr_fails_validate(self):
+        import dataclasses
+        g = gen.gen_gbm1(300, 0.05, 0.02, seed=5).graph
+        g.validate()
+        u = int(np.argmax(g.degrees() >= 2))
+        s = int(g.indptr[u])
+        unsorted = g.indices.copy()
+        unsorted[s], unsorted[s + 1] = unsorted[s + 1], unsorted[s]
+        loop = g.indices.copy()
+        loop[s] = u
+        for indices in (unsorted, loop):
+            with pytest.raises(ValueError, match=f"vertex {u}"):
+                dataclasses.replace(g, indices=indices).validate()
+        with pytest.raises(ValueError, match="inconsistent"):
+            dataclasses.replace(g, edges=g.edges[1:]).validate()
+        with pytest.raises(ValueError, match="indptr"):
+            dataclasses.replace(g, indptr=g.indptr[:-1]).validate()
+        with pytest.raises(ValueError, match="u < v"):
+            dataclasses.replace(g, edges=g.edges[:, ::-1].copy()).validate()

@@ -185,15 +185,6 @@ class TestRecoverGbm1:
         assert np.array_equal(r1.labels, r2.labels)
         assert np.array_equal(r1.components, r2.components)
 
-    def test_fast_mode_same_components(self):
-        n, a, b = 1500, 13.0, 1.0
-        ln = math.log(n)
-        inst = gen.gen_gbm1(n, a * ln / n, b * ln / n, seed=12)
-        slow = rec.recover_gbm1(inst.graph, a, b)
-        fast = rec.recover_gbm1(inst.graph, a, b, fast_mode=True)
-        assert fast.stats["fast_mode"] and fast.stats["edges_examined"] <= slow.stats["edges_total"]
-        assert np.array_equal(slow.labels, fast.labels)
-
     def test_decision_locality(self):
         # deleting a vertex adjacent to neither endpoint leaves the decision alone
         inst = gen.gen_gbm1(600, 0.05, 0.02, seed=7)
@@ -303,6 +294,11 @@ class TestRecoverWithLocations:
         inst = gen.gen_gbm_t(100, 2, 0.5, 0.2, seed=1)
         with pytest.raises(ValueError):
             rec.recover_with_locations(inst.graph, inst.embeddings, 0.5, 0.2)
+
+    def test_rejects_embeddings_of_another_size(self):
+        inst = gen.gen_gbm1(100, 0.05, 0.02, seed=1)
+        with pytest.raises(ValueError, match="embeddings"):
+            rec.recover_with_locations(inst.graph, inst.embeddings[:-1], 0.05, 0.02)
 
 
 class TestLabeling:
