@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (IntervalSet, interval_union_edges_only, rag1_edges_only,
-                         rag_t_edges_only, radius_from_scale)
+from .generators import (IntervalSet, _circle_band_pairs, _sphere_pairs_within,
+                         interval_union_edges_only, rag1_edges_only, rag_t_edges_only,
+                         radius_from_scale)
 from .geometry import annulus_fraction, psi
 from .graph import Graph
 from .recovery import UNASSIGNED, _components
@@ -156,25 +157,22 @@ def left_deficiency_count(embeddings: np.ndarray, graph: Graph) -> int:
 
 
 def find_pole(graph: Graph, embeddings: np.ndarray, r2: float):
-    """Smallest vertex adjacent to every other vertex within distance r2, or None."""
+    """Smallest vertex adjacent to every other vertex within distance r2, or None.
+
+    A vertex is missing a neighbor when some pair within r2 that contains
+    it is not an edge; a vertex with nothing within r2 qualifies.
+    """
     x = np.asarray(embeddings, dtype=float)
-    circle = x.ndim == 1
-    adj = graph.adjacency_bool()
-    block = 512
-    for i0 in range(0, graph.n, block):
-        i1 = min(i0 + block, graph.n)
-        if circle:
-            d = np.abs(x[i0:i1, None] - x[None, :])
-            d = np.minimum(d, 1.0 - d)
-        else:
-            d = np.sqrt(np.clip(2.0 - 2.0 * (x[i0:i1] @ x.T), 0.0, None))
-        within = d <= r2
-        within[np.arange(i1 - i0), np.arange(i0, i1)] = False
-        missing = within & ~adj[i0:i1]
-        ok = ~missing.any(axis=1)
-        if ok.any():
-            return int(i0 + np.argmax(ok))
-    return None
+    if x.ndim == 1:
+        u, v, _ = _circle_band_pairs(x, 0.0, r2)
+    else:
+        u, v, _ = _sphere_pairs_within(x, 0.0, r2)
+    absent = ~graph.has_edges(u, v)
+    missing = np.zeros(graph.n, dtype=bool)
+    missing[u[absent]] = True
+    missing[v[absent]] = True
+    poles = np.flatnonzero(~missing)
+    return int(poles[0]) if len(poles) else None
 
 
 @dataclass(frozen=True)

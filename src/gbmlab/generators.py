@@ -23,13 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import sample_circle, sample_sphere
 from .graph import Graph, from_edges
 from .rng import substream
-
-#: sphere generation processes pairwise distances in row blocks of this size
-_BLOCK = 2048
 
 
 def radius_from_scale(a: float, n: int, t: int = 1) -> float:
@@ -124,32 +122,13 @@ def _circle_band_pairs(pos: np.ndarray, lo: float, hi: float):
 
 def gen_rag1(n: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray]:
     """Random annulus graph on the circle: edge iff distance in [r1, r2]."""
-    if not 0.0 <= r1 <= r2 <= 0.5:
-        raise ValueError(f"need 0 <= r1 <= r2 <= 1/2, got [{r1}, {r2}]")
-    rng = _seeded(seed)
-    pos = sample_circle(rng, n)
-    u, v, _ = _circle_band_pairs(pos, r1, r2)
+    pos, u, v = rag1_edges_only(n, r1, r2, seed)
     return from_edges(n, u, v), pos
 
 
 def gen_interval_union_graph(n: int, intervals: IntervalSet, seed: int) -> tuple[Graph, np.ndarray]:
     """Circle graph with edge iff distance lies in a union of closed bands."""
-    rng = _seeded(seed)
-    pos = sample_circle(rng, n)
-    us, vs = [], []
-    for lo, hi in intervals.intervals:
-        u, v, _ = _circle_band_pairs(pos, lo, hi)
-        us.append(u)
-        vs.append(v)
-    if us:
-        u = np.concatenate(us)
-        v = np.concatenate(vs)
-        # bands are disjoint but closed endpoints can coincide; dedupe defensively
-        enc = np.minimum(u, v) * n + np.maximum(u, v)
-        _, keep = np.unique(enc, return_index=True)
-        u, v = u[keep], v[keep]
-    else:
-        u = v = np.empty(0, np.int64)
+    pos, u, v = interval_union_edges_only(n, intervals, seed)
     return from_edges(n, u, v), pos
 
 
@@ -180,52 +159,27 @@ def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
                        params={"family": "gbm1", "n": n, "t": 1, "r_s": r_s, "r_d": r_d, "seed": seed})
 
 
-def _sphere_pairs_within(x: np.ndarray, thr2_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked all-pairs scan over sphere points.
+def _sphere_pairs_within(x: np.ndarray, lo: float, hi: float):
+    """All unordered pairs of sphere points with chord distance in the closed band [lo, hi].
 
-    thr2_fn(i0, i1) must return the (block, n) matrix of squared chord
-    thresholds; pairs with squared distance <= threshold are returned.
+    Returns (u, v, d2) arrays, d2 the squared chord distance.  Chord
+    distance on S^t is Euclidean distance in R^(t+1), so a k-d tree over
+    the points finds every candidate pair; it is queried with a 1e-9
+    relative margin so that its own rounding never drops one.  Membership
+    is then decided by the one squared-distance formula
+    d2 = |x_u - x_v|^2 against lo^2 and hi^2, the formula of
+    ``recheck_instance`` and of the dense oracle's pair answers.
     """
-    n = len(x)
-    us, vs = [], []
-    for i0 in range(0, n, _BLOCK):
-        i1 = min(i0 + _BLOCK, n)
-        gram = x[i0:i1] @ x.T
-        d2 = np.clip(2.0 - 2.0 * gram, 0.0, None)
-        hit = d2 <= thr2_fn(i0, i1)
-        # keep only j > i to enumerate each unordered pair once
-        cols = np.arange(n)[None, :]
-        rows_global = np.arange(i0, i1)[:, None]
-        hit &= cols > rows_global
-        bi, bj = np.nonzero(hit)
-        us.append(bi + i0)
-        vs.append(bj)
-    return (np.concatenate(us) if us else np.empty(0, np.int64),
-            np.concatenate(vs) if vs else np.empty(0, np.int64))
+    pairs = cKDTree(x).query_pairs(hi * (1.0 + 1e-9), output_type="ndarray")
+    u, v = pairs[:, 0], pairs[:, 1]
+    d2 = np.sum((x[u] - x[v]) ** 2, axis=-1)
+    keep = (d2 >= lo * lo) & (d2 <= hi * hi)
+    return u[keep], v[keep], d2[keep]
 
 
 def gen_rag_t(n: int, t: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray]:
     """Random annulus graph on S^t: edge iff chord distance in [r1, r2]."""
-    if not 0.0 <= r1 <= r2 <= 2.0:
-        raise ValueError(f"need 0 <= r1 <= r2 <= 2, got [{r1}, {r2}]")
-    rng = _seeded(seed)
-    x = sample_sphere(rng, n, t)
-    lo2, hi2 = r1 * r1, r2 * r2
-
-    n_ = len(x)
-    us, vs = [], []
-    for i0 in range(0, n_, _BLOCK):
-        i1 = min(i0 + _BLOCK, n_)
-        gram = x[i0:i1] @ x.T
-        d2 = np.clip(2.0 - 2.0 * gram, 0.0, None)
-        hit = (d2 >= lo2) & (d2 <= hi2)
-        cols = np.arange(n_)[None, :]
-        hit &= cols > np.arange(i0, i1)[:, None]
-        bi, bj = np.nonzero(hit)
-        us.append(bi + i0)
-        vs.append(bj)
-    u = np.concatenate(us) if us else np.empty(0, np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
+    x, u, v = rag_t_edges_only(n, t, r1, r2, seed)
     return from_edges(n, u, v), x
 
 
@@ -236,14 +190,9 @@ def gen_gbm_t(n: int, t: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     labels = _planted_labels(n)
     rng = _seeded(seed)
     x = sample_sphere(rng, n, t)
-    same_thr2, diff_thr2 = r_s * r_s, r_d * r_d
-
-    def thr2_fn(i0, i1):
-        same = labels[i0:i1, None] == labels[None, :]
-        return np.where(same, same_thr2, diff_thr2)
-
-    u, v = _sphere_pairs_within(x, thr2_fn)
-    g = from_edges(n, u, v)
+    u, v, d2 = _sphere_pairs_within(x, 0.0, r_s)
+    keep = (labels[u] == labels[v]) | (d2 <= r_d * r_d)
+    g = from_edges(n, u[keep], v[keep])
     return GbmInstance(graph=g, truth=labels, embeddings=x,
                        params={"family": "gbm_t", "n": n, "t": t, "r_s": r_s, "r_d": r_d, "seed": seed})
 
@@ -255,35 +204,30 @@ def recheck_instance(inst: GbmInstance, non_edge_sample: int = 0, seed: int = 0)
     r_s, r_d = inst.params["r_s"], inst.params["r_d"]
     circle = emb.ndim == 1
 
-    def dist(u, v):
+    def within_rule(u, v):
+        thr = np.where(labels[u] == labels[v], r_s, r_d)
         if circle:
             d = np.abs(emb[u] - emb[v])
-            return np.minimum(d, 1.0 - d)
-        return np.linalg.norm(emb[u] - emb[v], axis=-1)
+            return np.minimum(d, 1.0 - d) <= thr
+        # the squared-distance formula of _sphere_pairs_within
+        return np.sum((emb[u] - emb[v]) ** 2, axis=-1) <= thr * thr
 
-    if g.m:
-        u, v = g.edges[:, 0], g.edges[:, 1]
-        thr = np.where(labels[u] == labels[v], r_s, r_d)
-        if not np.all(dist(u, v) <= thr):
-            return False
+    if g.m and not np.all(within_rule(g.edges[:, 0], g.edges[:, 1])):
+        return False
     if non_edge_sample:
         rng = substream(seed, 0xA0D17)
         u = rng.integers(0, g.n, non_edge_sample)
         v = rng.integers(0, g.n, non_edge_sample)
         ok = u != v
         u, v = u[ok], v[ok]
-        enc_edges = g.edges[:, 0].astype(np.int64) * g.n + g.edges[:, 1]
-        enc = np.minimum(u, v).astype(np.int64) * g.n + np.maximum(u, v)
-        is_edge = np.isin(enc, enc_edges)
-        u, v = u[~is_edge], v[~is_edge]
-        thr = np.where(labels[u] == labels[v], r_s, r_d)
-        if np.any(dist(u, v) <= thr):
+        is_edge = g.has_edges(u, v)
+        if np.any(within_rule(u[~is_edge], v[~is_edge])):
             return False
     return True
 
 
 def rag1_edges_only(n: int, r1: float, r2: float, seed: int):
-    """Positions plus raw edge arrays, skipping Graph construction.
+    """Positions plus raw edge arrays of ``gen_rag1``, skipping Graph construction.
 
     Cheap path for Monte-Carlo sweeps that only need degrees/components.
     """
@@ -296,6 +240,7 @@ def rag1_edges_only(n: int, r1: float, r2: float, seed: int):
 
 
 def interval_union_edges_only(n: int, intervals: IntervalSet, seed: int):
+    """Positions plus the deduplicated raw edge arrays of ``gen_interval_union_graph``."""
     rng = _seeded(seed)
     pos = sample_circle(rng, n)
     us, vs = [], []
@@ -303,14 +248,24 @@ def interval_union_edges_only(n: int, intervals: IntervalSet, seed: int):
         u, v, _ = _circle_band_pairs(pos, lo, hi)
         us.append(u)
         vs.append(v)
-    u = np.concatenate(us) if us else np.empty(0, np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    return pos, u, v
+    if not us:
+        return pos, np.empty(0, np.int64), np.empty(0, np.int64)
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    # bands are disjoint but closed endpoints can coincide; dedupe defensively
+    enc = np.minimum(u, v) * n + np.maximum(u, v)
+    _, keep = np.unique(enc, return_index=True)
+    return pos, u[keep], v[keep]
 
 
 def rag_t_edges_only(n: int, t: int, r1: float, r2: float, seed: int):
-    g, x = gen_rag_t(n, t, r1, r2, seed)
-    return x, g.edges[:, 0], g.edges[:, 1]
+    """Positions plus raw edge arrays of ``gen_rag_t``, skipping Graph construction."""
+    if not 0.0 <= r1 <= r2 <= 2.0:
+        raise ValueError(f"need 0 <= r1 <= r2 <= 2, got [{r1}, {r2}]")
+    rng = _seeded(seed)
+    x = sample_sphere(rng, n, t)
+    u, v, _ = _sphere_pairs_within(x, r1, r2)
+    return x, u, v
 
 
 __all__ = [

@@ -34,6 +34,19 @@ class Graph:
         i = np.searchsorted(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Vectorized ``has_edge``: whether each pair (us[i], vs[i]) is an edge."""
+        n = self.n
+        # edges are sorted by lo * n + hi; the sentinel n * n closes the search
+        edge_keys = np.append(self.edges[:, 0].astype(np.int64) * n + self.edges[:, 1], n * n)
+        keys = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
+        # searching in key order keeps the binary searches cache-local
+        order = np.argsort(keys)
+        keys = keys[order]
+        hit = np.empty(len(keys), dtype=bool)
+        hit[order] = edge_keys[np.searchsorted(edge_keys, keys)] == keys
+        return hit
+
     def adjacency_bool(self) -> np.ndarray:
         """Dense (n, n) boolean adjacency. Intended for n up to ~2e4."""
         a = np.zeros((self.n, self.n), dtype=bool)

@@ -218,12 +218,7 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     pairs = len(us)
     us = us.astype(np.int32)
     vs = vs.astype(np.int32)
-    # graph.edges is sorted by lo * n + hi; the sentinel n * n closes the search
-    edge_keys = np.append(graph.edges[:, 0].astype(np.int64) * n + graph.edges[:, 1], n * n)
-    keys = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
-    is_edge = edge_keys[np.searchsorted(edge_keys, keys)] == keys
-    shift = np.where(is_edge, 0, n).astype(np.int32)   # 0: same pair, n: different pair
-    del edge_keys, keys, is_edge
+    shift = np.where(graph.has_edges(us, vs), 0, n).astype(np.int32)   # 0: same pair, n: different pair
     src = np.concatenate([us, us + np.int32(n)])
     dst = np.concatenate([vs + shift, vs + (np.int32(n) - shift)])
     del us, vs, shift

@@ -172,13 +172,13 @@ def _spacing_count_pmf(n, r):
 
 
 def _annulus_isolated_count(x, r1, r2):
-    # single-precision one-shot Gram: band membership sits well away from
-    # the f32 noise floor at these radii, and the diagonal (d ~ 0) stays
-    # below the inner radius
-    xf = np.ascontiguousarray(x, dtype=np.float32)
-    d2 = 2.0 - 2.0 * (xf @ xf.T)
-    hits = ((d2 >= np.float32(r1 * r1)) & (d2 <= np.float32(r2 * r2))).sum(axis=1)
-    return int((hits == 0).sum())
+    # vertices with no pair in the chord band [r1, r2], from the library's
+    # float64 sphere band primitive
+    u, v, _ = gen._sphere_pairs_within(x, r1, r2)
+    banded = np.zeros(len(x), dtype=bool)
+    banded[u] = True
+    banded[v] = True
+    return int((~banded).sum())
 
 
 def test_criterion_5_isolated_vertex_expectation():

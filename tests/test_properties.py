@@ -1,4 +1,4 @@
-"""Property tests of the graph core: construction, components and parity recovery."""
+"""Property tests of the graph core, the sphere band primitive and dense query accounting."""
 
 from collections import deque
 
@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gbmlab import analysis as ana
+from gbmlab import dense as dn
+from gbmlab import generators as gen
 from gbmlab import recovery as rec
+from gbmlab.geometry import sample_sphere
 from gbmlab.graph import from_edges
+from gbmlab.rng import substream
+from gbmlab.thresholds import DensePlan
 from test_recovery import bfs_components
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -155,3 +161,172 @@ class TestRecoverWithLocations:
         for a, b, same in pairs:
             if a in big:
                 assert (res.labels[a] == res.labels[b]) == same
+
+
+def brute_force_band(x, lo, hi):
+    """All pairs i < j with lo^2 <= |x_i - x_j|^2 <= hi^2, sorted, with d2."""
+    uu, vv = np.triu_indices(len(x), 1)
+    d2 = np.sum((x[uu] - x[vv]) ** 2, axis=-1)
+    keep = (d2 >= lo * lo) & (d2 <= hi * hi)
+    return uu[keep], vv[keep], d2[keep]
+
+
+@st.composite
+def sphere_bands(draw):
+    """(x, lo, hi): seeded points on S^t, some repeated, and a closed chord band."""
+    t = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    x = sample_sphere(substream(draw(st.integers(0, 2 ** 32 - 1))), max(n, 1), t)[:n]
+    if n >= 2 and draw(st.booleans()):
+        # coincident points: pairs at distance exactly 0
+        reps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+        for i, j in reps:
+            x[i] = x[j]
+    uu, vv = np.triu_indices(n, 1)
+    dists = np.sqrt(np.sum((x[uu] - x[vv]) ** 2, axis=-1)).tolist()
+    # radii set exactly to pair distances, to the ends of [0, 2], or anywhere
+    radius = st.sampled_from([0.0, 2.0] + dists[:20]) | st.floats(0.0, 2.0)
+    lo, hi = sorted((draw(radius), draw(radius)))
+    if draw(st.booleans()):
+        lo = draw(st.sampled_from([0.0, hi]))
+    return x, lo, hi
+
+
+def pair_keys(n, u, v):
+    return np.minimum(u, v).astype(np.int64) * max(n, 1) + np.maximum(u, v)
+
+
+class TestSpherePairsWithin:
+    @SETTINGS
+    @given(sphere_bands())
+    def test_matches_brute_force(self, case):
+        x, lo, hi = case
+        n = len(x)
+        u, v, d2 = gen._sphere_pairs_within(x, lo, hi)
+        ru, rv, rd2 = brute_force_band(x, lo, hi)
+        assert np.all(u < v)
+        order = np.argsort(pair_keys(n, u, v))
+        assert np.array_equal(pair_keys(n, u, v)[order], pair_keys(n, ru, rv))
+        assert np.array_equal(d2[order], rd2)
+
+
+@st.composite
+def pole_instances(draw):
+    """(x, r2, graph): circle points on a 1/64 grid or sphere points, and a graph
+    holding most pairs within r2 plus a few pairs beyond it."""
+    n = draw(st.integers(1, 30))
+    uu, vv = np.triu_indices(n, 1)
+    if draw(st.booleans()):
+        x = np.array(draw(st.lists(st.integers(0, 63), min_size=n, max_size=n)), float) / 64
+        r2 = draw(st.integers(0, 32)) / 64
+        d = np.abs(x[uu] - x[vv])
+        within = np.minimum(d, 1 - d) <= r2
+    else:
+        x = sample_sphere(substream(draw(st.integers(0, 2 ** 32 - 1))), n, draw(st.integers(1, 3)))
+        r2 = draw(st.floats(0.0, 2.0))
+        within = np.sum((x[uu] - x[vv]) ** 2, axis=-1) <= r2 * r2
+    flips = draw(st.sets(st.integers(0, max(len(uu) - 1, 0)), max_size=4)) if len(uu) else set()
+    edge = within.copy()
+    edge[list(flips)] ^= True
+    return x, r2, within, from_edges(n, uu[edge], vv[edge])
+
+
+class TestFindPole:
+    @SETTINGS
+    @given(pole_instances())
+    def test_matches_brute_force(self, inst):
+        x, r2, within, g = inst
+        n = len(x)
+        uu, vv = np.triu_indices(n, 1)
+        missing = within & ~g.adjacency_bool()[uu, vv]
+        bad = np.zeros(n, bool)
+        bad[uu[missing]] = True
+        bad[vv[missing]] = True
+        want = int(np.argmin(bad)) if not bad.all() else None
+        assert ana.find_pole(g, x, r2) == want
+
+
+def gram_scan_edges(x, hit_fn):
+    """The former blocked Gram scan: pairs i < j where hit_fn(d2, i0, i1) holds
+    for the (block, n) matrix d2 = clip(2 - 2 x_i.x_j, 0) of rows i0..i1."""
+    n = len(x)
+    us, vs = [], []
+    for i0 in range(0, n, 2048):
+        i1 = min(i0 + 2048, n)
+        d2 = np.clip(2.0 - 2.0 * (x[i0:i1] @ x.T), 0.0, None)
+        hit = hit_fn(d2, i0, i1)
+        hit &= np.arange(n)[None, :] > np.arange(i0, i1)[:, None]
+        bi, bj = np.nonzero(hit)
+        us.append(bi + i0)
+        vs.append(bj)
+    return from_edges(n, np.concatenate(us), np.concatenate(vs)).edges
+
+
+class TestGramScanRegression:
+    """The k-d tree generators reproduce the edge sets of the former Gram scan."""
+
+    @pytest.mark.parametrize("t, r_s, r_d, seed", [
+        (2, 0.25, 0.1, 1), (2, 0.6, 0.45, 2), (3, 0.5, 0.2, 3), (3, 1.3, 0.9, 4),
+    ])
+    def test_gbm_t(self, t, r_s, r_d, seed):
+        inst = gen.gen_gbm_t(1500, t, r_s, r_d, seed)
+        labels = inst.truth
+
+        def hit_fn(d2, i0, i1):
+            same = labels[i0:i1, None] == labels[None, :]
+            return d2 <= np.where(same, r_s * r_s, r_d * r_d)
+
+        assert np.array_equal(inst.graph.edges, gram_scan_edges(inst.embeddings, hit_fn))
+
+    @pytest.mark.parametrize("t, r1, r2, seed", [
+        (2, 0.05, 0.25, 5), (2, 0.0, 0.7, 6), (3, 0.3, 0.5, 7), (1, 0.1, 0.4, 8),
+    ])
+    def test_rag_t(self, t, r1, r2, seed):
+        g, x = gen.gen_rag_t(1500, t, r1, r2, seed)
+
+        def hit_fn(d2, i0, i1):
+            return (d2 >= r1 * r1) & (d2 <= r2 * r2)
+
+        assert np.array_equal(g.edges, gram_scan_edges(x, hit_fn))
+
+
+@st.composite
+def dense_runs(draw):
+    """(oracle, n, plan, seed) over a small planted instance and an arbitrary plan."""
+    n = 2 * draw(st.integers(3, 60))
+    x = sample_sphere(substream(draw(st.integers(0, 2 ** 32 - 1))), n, 2)
+    labels = np.zeros(n, np.int8)
+    labels[n // 2:] = 1
+    r_d = draw(st.floats(0.05, 1.5))
+    r_s = draw(st.floats(r_d + 0.05, 2.0))
+    h = draw(st.integers(2, n))
+    g = draw(st.integers(1, max(1, h // 3)))
+    e_s = draw(st.floats(0.0, float(h)))
+    e_d = draw(st.floats(-1.0, float(h)))
+    plan = DensePlan(n=n, t=2, r_s=r_s, r_d=r_d, g=g, h=h, g_formula=g,
+                     E_S=e_s, E_D=e_d, theta_S=1.0, theta_D=1.0)
+    if draw(st.booleans()):
+        oracle = dn.GbmEdgeOracle(x, labels, r_s, r_d)
+    else:
+        same = labels[:, None] == labels[None, :]
+        d2 = np.sum((x[:, None] - x[None, :]) ** 2, axis=-1)
+        adj = np.triu(d2 <= np.where(same, r_s * r_s, r_d * r_d), 1)
+        oracle = dn.GraphEdgeOracle(from_edges(n, *np.nonzero(adj)))
+    return oracle, n, plan, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestDenseQueryAccounting:
+    @SETTINGS
+    @given(dense_runs())
+    def test_queries_used_is_exact(self, run):
+        oracle, n, plan, seed = run
+        res = dn.dense_recover(oracle, n, 2, plan.r_s, plan.r_d, plan, seed)
+        h, g = plan.h, plan.g
+        assert res.queries_used == oracle.queries
+        if res.status == "ok":
+            assert res.queries_used == h * (h - 1) // 2 + (n - h) * 2 * g
+            assert res.queries_used == plan.query_budget
+        else:
+            assert res.status == "phase1_degenerate"
+            assert res.queries_used == h * (h - 1) // 2
+            assert np.all(res.labels == rec.UNASSIGNED)
