@@ -18,8 +18,9 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import squared_chord
 from .graph import Graph
-from .recovery import UNASSIGNED, _components
+from .recovery import UNASSIGNED, _components, _sorted_pair_counts
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -124,15 +125,28 @@ class GbmEdgeOracle(EdgeOracle):
         self._thr2 = (float(r_s) ** 2, float(r_d) ** 2)
 
     def _answer(self, us, vs):
-        d2 = np.sum((self._x[us] - self._x[vs]) ** 2, axis=-1)
+        d2 = squared_chord(self._x, us, vs)
         same = self._labels[us] == self._labels[vs]
         return d2 <= np.where(same, self._thr2[0], self._thr2[1])
 
     def _block_answer(self, sample):
+        """`_answer` on every ordered pair of the sample, by row chunks.
+
+        Each chunk's temporaries hold about 2^19 floats, so the block costs
+        its h x h boolean answer plus a few MB, not h x h floats.
+        """
         xs = self._x[sample]
-        d2 = np.clip(2.0 - 2.0 * (xs @ xs.T), 0.0, None)
-        same = self._labels[sample][:, None] == self._labels[sample][None, :]
-        return d2 <= np.where(same, self._thr2[0], self._thr2[1])
+        labels = self._labels[sample]
+        h = len(sample)
+        idx = np.arange(h)
+        out = np.empty((h, h), dtype=bool)
+        step = max(1, (1 << 19) // max(h, 1))
+        for i0 in range(0, h, step):
+            rows = idx[i0:i0 + step, None]
+            d2 = squared_chord(xs, rows, idx)
+            same = labels[rows] == labels
+            out[i0:i0 + step] = np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1])
+        return out
 
 
 def majority_assign(k1: int, k2: int) -> int:
@@ -168,14 +182,7 @@ def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         bits = np.concatenate([bits, np.zeros((h, pad), np.uint8)], axis=1)
     words = np.ascontiguousarray(bits).view(np.uint64)
     uu, vv = np.nonzero(np.triu(adj, 1))
-    counts = np.empty(len(uu), dtype=np.int64)
-    starts = np.searchsorted(uu, np.arange(h))
-    ends = np.searchsorted(uu, np.arange(h), side="right")
-    for u in range(h):
-        s, e = starts[u], ends[u]
-        if s < e:
-            counts[s:e] = np.bitwise_count(words[u] & words[vv[s:e]]).sum(axis=1, dtype=np.int64)
-    return uu, vv, counts
+    return uu, vv, _sorted_pair_counts(words, uu, vv)
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,

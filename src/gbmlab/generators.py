@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import sample_circle, sample_sphere
+from .geometry import sample_circle, sample_sphere, squared_chord
 from .graph import Graph, from_edges
 from .rng import substream
 
@@ -166,13 +166,12 @@ def _sphere_pairs_within(x: np.ndarray, lo: float, hi: float):
     distance on S^t is Euclidean distance in R^(t+1), so a k-d tree over
     the points finds every candidate pair; it is queried with a 1e-9
     relative margin so that its own rounding never drops one.  Membership
-    is then decided by the one squared-distance formula
-    d2 = |x_u - x_v|^2 against lo^2 and hi^2, the formula of
-    ``recheck_instance`` and of the dense oracle's pair answers.
+    is then decided by d2 = ``squared_chord(x, u, v)`` against lo^2 and
+    hi^2, the formula of ``recheck_instance`` and of the dense oracle.
     """
     pairs = cKDTree(x).query_pairs(hi * (1.0 + 1e-9), output_type="ndarray")
     u, v = pairs[:, 0], pairs[:, 1]
-    d2 = np.sum((x[u] - x[v]) ** 2, axis=-1)
+    d2 = squared_chord(x, u, v)
     keep = (d2 >= lo * lo) & (d2 <= hi * hi)
     return u[keep], v[keep], d2[keep]
 
@@ -209,8 +208,7 @@ def recheck_instance(inst: GbmInstance, non_edge_sample: int = 0, seed: int = 0)
         if circle:
             d = np.abs(emb[u] - emb[v])
             return np.minimum(d, 1.0 - d) <= thr
-        # the squared-distance formula of _sphere_pairs_within
-        return np.sum((emb[u] - emb[v]) ** 2, axis=-1) <= thr * thr
+        return squared_chord(emb, u, v) <= thr * thr
 
     if g.m and not np.all(within_rule(g.edges[:, 0], g.edges[:, 1])):
         return False

@@ -13,19 +13,13 @@ Conventions: `t` is the sphere dimension (t >= 1), chord distances lie in
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, gamma
+from scipy.special import beta, betainc, gamma
 
 from .rng import normal_rows
-
-# Cache for cap_intersection_fraction keyed by rounded arguments.
-_LENS_CACHE: dict[tuple, float] = {}
-
-DEFAULT_MC_SAMPLES = 1_000_000
 
 
 def _check_dimension(t: int) -> int:
@@ -55,6 +49,20 @@ def chord_of_geodesic(d):
     """
     out = 2.0 * np.sin(np.pi * np.asarray(d, dtype=float))
     return float(out) if np.isscalar(d) else out
+
+
+def squared_chord(x: np.ndarray, u, v) -> np.ndarray:
+    """|x[u] - x[v]|^2 for the rows of x picked by index arrays u, v (broadcast together).
+
+    Summed coordinate by coordinate, in index order.  The one sphere edge
+    formula: generators, their audit and both dense-oracle answers call
+    it, so a pair at distance exactly r is decided the same way everywhere.
+    """
+    cols = np.ascontiguousarray(x.T)
+    d2 = (cols[0][u] - cols[0][v]) ** 2
+    for c in cols[1:]:
+        d2 += (c[u] - c[v]) ** 2
+    return d2
 
 
 def sample_circle(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -89,6 +97,15 @@ def _chord_angle(c: float) -> float:
     return 2.0 * math.asin(min(1.0, max(0.0, 0.5 * c)))
 
 
+def _polar_cap(m: int, sin2: float, within_hemisphere: bool) -> float:
+    """Fraction of S^m within polar angle b of a pole, from sin^2 b and whether b <= pi/2.
+
+    The regularized incomplete beta identity behind every cap area here.
+    """
+    half = 0.5 * betainc(0.5 * m, 0.5, sin2)
+    return float(half if within_hemisphere else 1.0 - half)
+
+
 def cap_fraction(t: int, r: float) -> float:
     """Fraction of S^t within chord distance r of a fixed point.
 
@@ -100,9 +117,7 @@ def cap_fraction(t: int, r: float) -> float:
     if not 0.0 <= r <= 2.0:
         raise ValueError(f"chord radius must lie in [0, 2], got {r}")
     cos_a = 1.0 - 0.5 * r * r
-    x = max(0.0, 1.0 - cos_a * cos_a)
-    half = 0.5 * betainc(0.5 * t, 0.5, x)
-    return float(half if cos_a >= 0.0 else 1.0 - half)
+    return _polar_cap(t, max(0.0, 1.0 - cos_a * cos_a), cos_a >= 0.0)
 
 
 def annulus_fraction(t: int, r1: float, r2: float) -> float:
@@ -147,54 +162,47 @@ def _lens_circle(a1: float, a2: float, g: float) -> float:
     return overlap / (2.0 * math.pi)
 
 
-def _lens_sphere2(a1: float, a2: float, g: float) -> float:
-    """Normalized intersection area on S^2 by polar quadrature about the first center."""
-    ca2, cg, sg = math.cos(a2), math.cos(g), math.sin(g)
+def _lens_sphere(t: int, a1: float, a2: float, g: float) -> float:
+    """Normalized intersection of caps of angular radii a1, a2 with centers at angle g in (0, pi], t >= 2.
 
-    def ring_arc(theta: float) -> float:
-        st = math.sin(theta)
-        denom = st * sg
-        if denom < 1e-300:
-            c = 1.0 if ca2 - math.cos(theta) * cg > 0 else -1.0
-        else:
-            c = (ca2 - math.cos(theta) * cg) / denom
-        return st * math.acos(min(1.0, max(-1.0, c)))
+    Polar quadrature about the first center: the ring at polar angle theta
+    lies in the second cap in the fraction F_(t-1)(c) of S^(t-1) whose
+    first coordinate is >= c = (cos a2 - cos theta cos g) / (sin theta sin g).
+    F is 1 below theta = a2 - g and above 2 pi - g - a2, 0 below g - a2
+    and above g + a2, and smooth in between.  The stretches where F = 1
+    are closed-form polar caps; quad runs between the kinks only.
+    """
+    def cap(b: float) -> float:
+        return _polar_cap(t, math.sin(b) ** 2, b <= 0.5 * math.pi)
 
-    val, _ = integrate.quad(ring_arc, 0.0, a1, limit=200)
-    return val / (2.0 * math.pi)
+    far = 2.0 * math.pi - g - a2
+    out = 0.0
+    if g < a2:  # the first center lies inside the second cap
+        out += cap(a2 - g)
+    if a1 > far:  # the caps cover the sphere: the band past `far` lies in both
+        out += cap(a1) - cap(far)
+    lo, hi = abs(g - a2), min(a1, g + a2, far)
+    if lo < hi:
+        def ring(theta: float) -> float:
+            # 1 - c = 2p / d and 1 + c = 2q / d with d = p + q = sin theta sin g,
+            # products of sines that keep their precision near the kinks
+            p = math.sin(0.5 * (a2 + theta - g)) * math.sin(0.5 * (a2 - theta + g))
+            q = math.sin(0.5 * (theta + g + a2)) * math.sin(0.5 * (theta + g - a2))
+            return math.sin(theta) ** (t - 1) * _polar_cap(t - 1, 4.0 * p * q / (p + q) ** 2, q >= p)
 
-
-def _lens_monte_carlo(t: int, r1: float, r2: float, ell: float, samples: int) -> float:
-    """Seeded rejection estimate of the cap-intersection fraction on S^t."""
-    key = f"lens|{t}|{r1:.9f}|{r2:.9f}|{ell:.9f}|{samples}".encode()
-    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = _chord_angle(ell)
-    c1 = np.zeros(t + 1)
-    c1[0] = 1.0
-    c2 = np.zeros(t + 1)
-    c2[0], c2[1] = math.cos(g), math.sin(g)
-    hits = 0
-    block = 200_000
-    remaining = samples
-    while remaining > 0:
-        m = min(block, remaining)
-        x = rng.standard_normal((m, t + 1))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        d1 = np.linalg.norm(x - c1, axis=1)
-        d2 = np.linalg.norm(x - c2, axis=1)
-        hits += int(((d1 <= r1) & (d2 <= r2)).sum())
-        remaining -= m
-    return hits / samples
+        norm = float(beta(0.5 * t, 0.5))
+        # the shell [lo, hi] bounds the integral; ask for it to 1e-11 of the shell
+        shell = cap(hi) - cap(lo)
+        val, _ = integrate.quad(ring, lo, hi, epsabs=1e-11 * shell * norm, epsrel=1e-12, limit=200)
+        out += val / norm
+    return out
 
 
-def cap_intersection_fraction(t: int, r1: float, r2: float, ell: float,
-                              mc_samples: int = DEFAULT_MC_SAMPLES) -> float:
+def cap_intersection_fraction(t: int, r1: float, r2: float, ell: float) -> float:
     """Fraction of S^t within chord distance r1 of one point and r2 of another.
 
-    The two cap centers sit at chord distance ell.  Deterministic
-    quadrature for t = 1, 2; seeded Monte Carlo (mc_samples points) for
-    t >= 3.  Results are memoized per rounded argument tuple.
+    The two cap centers sit at chord distance ell.  Exact arc overlap for
+    t = 1 and deterministic quadrature for every t >= 2.
 
     Symmetric in (r1, r2), nonincreasing in ell, bounded by the smaller
     cap fraction, zero once the caps separate.
@@ -204,21 +212,12 @@ def cap_intersection_fraction(t: int, r1: float, r2: float, ell: float,
         if not 0.0 <= v <= 2.0:
             raise ValueError(f"{name} must lie in [0, 2], got {v}")
     r1, r2 = sorted((float(r1), float(r2)))
-    key = (t, round(r1, 9), round(r2, 9), round(ell, 9), mc_samples if t >= 3 else 0)
-    if key in _LENS_CACHE:
-        return _LENS_CACHE[key]
-
     a1, a2, g = _chord_angle(r1), _chord_angle(r2), _chord_angle(ell)
     if g >= a1 + a2:
-        out = 0.0
-    elif g <= a2 - a1:
+        return 0.0
+    if g <= a2 - a1:
         # smaller cap nested inside the larger one
-        out = cap_fraction(t, r1)
-    elif t == 1:
-        out = _lens_circle(a2, a1, g)
-    elif t == 2:
-        out = _lens_sphere2(a2, a1, g)
-    else:
-        out = _lens_monte_carlo(t, r1, r2, ell, mc_samples)
-    _LENS_CACHE[key] = out
-    return out
+        return cap_fraction(t, r1)
+    if t == 1:
+        return _lens_circle(a2, a1, g)
+    return _lens_sphere(t, a2, a1, g)

@@ -60,6 +60,20 @@ def common_neighbor_count(graph: Graph, u: int, v: int) -> int:
                               assume_unique=True).size)
 
 
+def _sorted_pair_counts(words: np.ndarray, su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """popcount(words[u] & words[v]) for pairs sorted by u, with words the bit-packed rows.
+
+    The one common-neighbor kernel: one vectorized call per u that has
+    pairs, against the rows of all of that u's partners.
+    """
+    counts = np.empty(len(su), dtype=np.int64)
+    bounds = np.searchsorted(su, np.arange(len(words) + 1)).tolist()
+    for u, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        if s < e:
+            counts[s:e] = np.bitwise_count(words[u] & words[sv[s:e]]).sum(axis=1, dtype=np.int64)
+    return counts
+
+
 def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Common-neighbor counts for many pairs via bit-packed row intersection.
 
@@ -70,14 +84,7 @@ def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) ->
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     order = np.argsort(us, kind="stable")
-    counts = np.empty(len(us), dtype=np.int64)
-    su, sv = us[order], vs[order]
-    starts = np.searchsorted(su, np.arange(graph.n))
-    ends = np.searchsorted(su, np.arange(graph.n), side="right")
-    for u in range(graph.n):
-        s, e = starts[u], ends[u]
-        if s < e:
-            counts[s:e] = np.bitwise_count(bits[u] & bits[sv[s:e]]).sum(axis=1, dtype=np.int64)
+    counts = _sorted_pair_counts(bits, us[order], vs[order])
     out = np.empty_like(counts)
     out[order] = counts
     return out

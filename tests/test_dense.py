@@ -57,6 +57,24 @@ class TestEdgeOracle:
                               r_orc.query_pairs(us[ok], vs[ok]))
         assert g_orc.queries == r_orc.queries
 
+    @pytest.mark.parametrize("t", [2, 7])
+    def test_block_agrees_with_pairs_at_tie_radii(self, t):
+        # radii set to the distances of sampled pairs put those pairs (and
+        # any pair within rounding of them) on the boundary of the rule
+        n = 300
+        emb = sample_sphere(substream(5), n, t)
+        labels = (np.arange(n) % 2).astype(np.int8)
+        iu, jv = np.triu_indices(n, 1)
+        rng = substream(5, t)
+        for _ in range(100):
+            a, b = rng.choice(len(iu), 2, replace=False)
+            r_s = float(np.linalg.norm(emb[iu[a]] - emb[jv[a]]))
+            r_d = float(np.linalg.norm(emb[iu[b]] - emb[jv[b]]))
+            block = dn.GbmEdgeOracle(emb, labels, r_s, r_d).query_block(np.arange(n))
+            pairs = dn.GbmEdgeOracle(emb, labels, r_s, r_d).query_pairs(iu, jv)
+            assert np.array_equal(block[iu, jv], pairs)
+            assert np.array_equal(block, block.T)
+
     def test_rejects_self_pairs(self):
         inst = gen.gen_gbm_t(20, 2, 0.6, 0.3, seed=2)
         orc = dn.GraphEdgeOracle(inst.graph)
@@ -125,6 +143,22 @@ class TestQueryCross:
         with pytest.raises(ValueError):
             orc.query_cross(rows, cols)
         assert orc.queries == 0
+
+
+class TestSubsampleCounts:
+    @pytest.mark.parametrize("h", [1, 2, 7, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_matrix_square(self, h, density):
+        rng = substream(19, h, int(100 * density))
+        upper = np.triu(rng.random((h, h)) < density, 1)
+        adj = upper | upper.T
+        adj[rng.random(h) < 0.2] = False        # some empty rows
+        adj &= adj.T
+        uu, vv, counts = dn._subsample_counts(adj)
+        want_u, want_v = np.nonzero(np.triu(adj, 1))
+        assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
+        a = adj.astype(np.int64)
+        assert np.array_equal(counts, (a @ a)[uu, vv])
 
 
 class TestMajorityAssign:

@@ -170,18 +170,45 @@ class TestCapIntersection:
         v = geo.cap_intersection_fraction(2, 0.2, 0.2, 0.2)
         assert abs(v - LENS_GOLDEN_MC) <= 3 * LENS_GOLDEN_SE
 
-    def test_monte_carlo_branch_deterministic(self):
-        a = geo.cap_intersection_fraction(4, 0.5, 0.4, 0.3, mc_samples=200_000)
-        geo._LENS_CACHE.clear()
-        b = geo.cap_intersection_fraction(4, 0.5, 0.4, 0.3, mc_samples=200_000)
-        assert a == b
+    def test_complement_identity(self):
+        # cap 1 splits into its parts inside cap 2 and inside the complement
+        # of cap 2, the cap of chord sqrt(4 - r2^2) about the antipode
+        for t in (2, 3, 4, 5):
+            for r1, r2, ell in ((0.6, 0.4, 0.4), (0.4, 0.6, 0.4), (1.0, 0.5, 0.7),
+                                (1.5, 1.2, 1.6), (0.3, 1.9, 1.2), (1.9, 1.8, 1.9)):
+                inside = geo.cap_intersection_fraction(t, r1, r2, ell)
+                outside = geo.cap_intersection_fraction(
+                    t, r1, math.sqrt(4.0 - r2 * r2), math.sqrt(4.0 - ell * ell))
+                assert inside + outside == pytest.approx(geo.cap_fraction(t, r1), abs=1e-9)
 
-    def test_monte_carlo_close_to_quadrature_t2(self):
-        # cross-check the t>=3 sampler machinery against t=2 quadrature
-        quad = geo.cap_intersection_fraction(2, 0.6, 0.4, 0.4)
-        mc = geo._lens_monte_carlo(2, 0.4, 0.6, 0.4, 400_000)
-        se = math.sqrt(quad * (1 - quad) / 400_000)
-        assert abs(quad - mc) <= 4 * se
+    def test_golden_quadrature_t2(self):
+        # 20-digit references from an mpmath quadrature of the same integral
+        # (40-digit working precision, kinks as breakpoints)
+        golden = {(0.6, 0.4, 0.4): 0.030256497377512788,
+                  (0.5, 0.3, 0.4): 0.014724060723384371,
+                  (1.5, 1.2, 1.6): 0.16241598872292640,
+                  (1.9, 1.8, 1.9): 0.71249999999999996}
+        for (r1, r2, ell), want in golden.items():
+            assert geo.cap_intersection_fraction(2, r1, r2, ell) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_agrees_with_sampling(self, t):
+        r1, r2, ell, samples = 0.6, 0.4, 0.4, 1_000_000
+        g = 2.0 * math.asin(0.5 * ell)
+        c1 = np.zeros(t + 1)
+        c1[0] = 1.0
+        c2 = np.zeros(t + 1)
+        c2[0], c2[1] = math.cos(g), math.sin(g)
+        rng = substream(23, t)
+        hits = 0
+        for _ in range(samples // 200_000):
+            x = rng.standard_normal((200_000, t + 1))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            hits += int(((np.linalg.norm(x - c1, axis=1) <= r1)
+                         & (np.linalg.norm(x - c2, axis=1) <= r2)).sum())
+        quad = geo.cap_intersection_fraction(t, r1, r2, ell)
+        se = math.sqrt(quad * (1.0 - quad) / samples)
+        assert abs(quad - hits / samples) <= 3.0 * se
 
 
 class TestPsi:
