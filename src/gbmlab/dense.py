@@ -7,7 +7,14 @@ the triangle-count filter on the induced subgraph, and takes the two
 largest surviving components as provisional clusters.  Phase 2 samples g
 vertices from each provisional cluster and assigns every remaining vertex
 by neighbor majority against the 2g samples, at 2g probes per vertex.
-Total probes: h (h - 1) / 2 + (n - h) 2 g.
+Total probes: h (h - 1) / 2 + (n - h) 2 g.  Ties in phase 2 go to
+cluster 0.
+
+The oracle counts distinct pairs from a record of what it probed, not
+from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
+single pairs as sorted index arrays, plus an n-byte mask of touched
+vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
+the one h x h array, freed once its common-neighbor counts are taken.
 """
 
 from __future__ import annotations
@@ -25,16 +32,54 @@ from .rng import substream
 from .thresholds import DensePlan
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array; a sort, cheaper than numpy's hashed unique."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a
+
+
 class EdgeOracle:
-    """Counts distinct unordered pairs probed; subclasses answer adjacency."""
+    """Counts distinct unordered pairs probed; subclasses answer adjacency.
+
+    The probe record keeps what was probed, not an n x n bitmap: a list of
+    blocks (rows, cols) of sorted vertex arrays, each covering the pairs
+    with one end in rows and the other in cols (a `query_block` sample S
+    is the block (S, S)); the sorted lo * n + hi keys of `query_pairs`
+    probes; and an n-byte mask of the vertices any probe touched.  A new
+    probe counts its pairs minus those already in the union of the record.
+    Only a pair whose two ends were both touched before can be in it, so
+    only those pairs are looked up.
+    """
 
     def __init__(self, n: int):
         self.n = int(n)
-        self._seen = np.zeros((n, n), dtype=bool)
         self.queries = 0
+        self._touched = np.zeros(self.n, dtype=bool)
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._keys = np.empty(0, dtype=np.int64)
 
     def _answer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Adjacency of each pair (us, vs), for index arrays that broadcast together."""
         raise NotImplementedError
+
+    def _recorded(self, us: np.ndarray, vs: np.ndarray) -> int:
+        """How many of the distinct pairs (us[i], vs[i]) the record already holds."""
+        old = self._touched[us] & self._touched[vs]
+        us, vs = us[old], vs[old]
+        hit = np.isin(np.minimum(us, vs) * self.n + np.maximum(us, vs), self._keys)
+        for rows, cols in self._blocks:
+            hit |= np.isin(us, rows) & np.isin(vs, cols)
+            hit |= np.isin(us, cols) & np.isin(vs, rows)
+        return int(np.count_nonzero(hit))
+
+    def _record_block(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        self._touched[rows] = True
+        self._touched[cols] = True
+        if self._blocks and np.array_equal(self._blocks[-1][1], cols):
+            # blocks against the same cols (phase 2's chunks) merge into one
+            self._blocks[-1] = (_distinct(np.concatenate([self._blocks[-1][0], rows])), cols)
+        else:
+            self._blocks.append((rows, cols))
 
     def query_pairs(self, us, vs) -> np.ndarray:
         """Vectorized probe; repeated pairs answer identically without recounting."""
@@ -42,69 +87,69 @@ class EdgeOracle:
         vs = np.asarray(vs, dtype=np.int64).ravel()
         if np.any(us == vs):
             raise ValueError("self-pairs cannot be probed")
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        fresh = ~self._seen[lo, hi]
-        if np.any(fresh):
-            # a pair may repeat within one call; count it once
-            enc = lo[fresh] * self.n + hi[fresh]
-            self.queries += int(len(np.unique(enc)))
-            self._seen[lo[fresh], hi[fresh]] = True
+        # a pair may repeat within one call; count it once
+        keys = _distinct(np.minimum(us, vs) * self.n + np.maximum(us, vs))
+        self.queries += len(keys) - self._recorded(*np.divmod(keys, self.n))
+        self._keys = _distinct(np.concatenate([self._keys, keys]))
+        self._touched[us] = True
+        self._touched[vs] = True
         return self._answer(us, vs)
 
     def query_cross(self, rows, cols) -> np.ndarray:
         """Probe every pair in rows x cols; returns the (len(rows), len(cols)) answers.
 
         `rows` and `cols` must each be duplicate-free and disjoint from one
-        another, so the block's pairs are distinct and need no dedupe:
-        counting reduces to the block's unseen entries.
+        another, so the block's pairs are distinct.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        if len(np.unique(rows)) != len(rows) or len(np.unique(cols)) != len(cols):
+        srows, scols = _distinct(rows), _distinct(cols)
+        if len(srows) != len(rows) or len(scols) != len(cols):
             raise ValueError("rows and cols must not contain duplicates")
-        if len(np.intersect1d(rows, cols, assume_unique=True)):
+        if len(np.intersect1d(srows, scols, assume_unique=True)):
             raise ValueError("rows and cols must be disjoint")
-        seen = self._seen[np.ix_(rows, cols)] | self._seen[np.ix_(cols, rows)].T
-        self.queries += seen.size - int(np.count_nonzero(seen))
-        self._seen[np.ix_(rows, cols)] = True
-        self._seen[np.ix_(cols, rows)] = True
-        answers = self._answer(np.repeat(rows, len(cols)), np.tile(cols, len(rows)))
-        return answers.reshape(len(rows), len(cols))
+        old_r = srows[self._touched[srows]]
+        old_c = scols[self._touched[scols]]
+        seen = self._recorded(np.repeat(old_r, len(old_c)), np.tile(old_c, len(old_r)))
+        self.queries += len(rows) * len(cols) - seen
+        self._record_block(srows, scols)
+        return self._answer(rows[:, None], cols[None, :])
 
-    def query_block(self, sample: np.ndarray) -> np.ndarray:
-        """Probe all pairs among `sample`; returns the induced adjacency matrix."""
-        sample = np.asarray(sample, dtype=np.int64)
+    def query_block(self, sample) -> np.ndarray:
+        """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency matrix."""
+        sample = np.asarray(sample, dtype=np.int64).ravel()
+        ssample = _distinct(sample)
+        if len(ssample) != len(sample):
+            raise ValueError("sample must not contain duplicates")
         h = len(sample)
-        sub = self._seen[np.ix_(sample, sample)]
-        seen_pairs = int(np.count_nonzero(np.triu(sub | sub.T, 1)))
-        self.queries += h * (h - 1) // 2 - seen_pairs
-        self._seen[np.ix_(sample, sample)] = True
+        old = ssample[self._touched[ssample]]
+        iu, jv = np.triu_indices(len(old), 1)
+        self.queries += h * (h - 1) // 2 - self._recorded(old[iu], old[jv])
+        self._record_block(ssample, ssample)
         adj = self._block_answer(sample)
         np.fill_diagonal(adj, False)
         return adj
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        iu, jv = np.meshgrid(sample, sample, indexing="ij")
-        keep = iu != jv
-        out = np.zeros((len(sample), len(sample)), dtype=bool)
-        out[keep] = self._answer(iu[keep], jv[keep])
+        """`_answer` on every ordered pair of the sample, by row chunks of about 2^19 cells."""
+        h = len(sample)
+        out = np.empty((h, h), dtype=bool)
+        step = max(1, (1 << 19) // max(h, 1))
+        for i0 in range(0, h, step):
+            out[i0:i0 + step] = self._answer(sample[i0:i0 + step, None], sample)
         return out
 
 
 class GraphEdgeOracle(EdgeOracle):
-    """Oracle backed by a materialized graph."""
+    """Oracle backed by a materialized graph; answers by `Graph.has_edges`."""
 
     def __init__(self, graph: Graph):
         super().__init__(graph.n)
-        self._adj = graph.adjacency_bool()
         self.graph = graph
 
     def _answer(self, us, vs):
-        return self._adj[us, vs]
-
-    def _block_answer(self, sample):
-        return self._adj[np.ix_(sample, sample)]
+        us, vs = np.broadcast_arrays(us, vs)
+        return self.graph.has_edges(us.ravel(), vs.ravel()).reshape(us.shape)
 
 
 class GbmEdgeOracle(EdgeOracle):
@@ -149,11 +194,6 @@ class GbmEdgeOracle(EdgeOracle):
         return out
 
 
-def majority_assign(k1: int, k2: int) -> int:
-    """Cluster choice by neighbor majority; ties resolve to cluster 0."""
-    return 0 if k1 >= k2 else 1
-
-
 def phase1_balance_check(h: int, c1: int, c2: int) -> bool:
     """Whether a size-h sample split (c1, c2) is within h/2 +- sqrt(6 h log h)."""
     if c1 + c2 != h:
@@ -181,7 +221,18 @@ def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if pad:
         bits = np.concatenate([bits, np.zeros((h, pad), np.uint8)], axis=1)
     words = np.ascontiguousarray(bits).view(np.uint64)
-    uu, vv = np.nonzero(np.triu(adj, 1))
+    # upper-triangle pairs row chunk by row chunk, in np.nonzero's row-major
+    # order, into arrays sized by a first counting pass
+    step = max(1, (1 << 20) // max(h, 1))
+    starts = range(0, h, step)
+    ends = np.cumsum([0] + [np.count_nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
+                            for i0 in starts]).tolist()
+    uu = np.empty(ends[-1], dtype=np.intp)
+    vv = np.empty(ends[-1], dtype=np.intp)
+    for i0, s, e in zip(starts, ends, ends[1:]):
+        r, c = np.nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
+        uu[s:e] = r + i0
+        vv[s:e] = c
     return uu, vv, _sorted_pair_counts(words, uu, vv)
 
 
@@ -194,8 +245,8 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     h, g = plan.h, plan.g
 
     sample = np.sort(rng.choice(n, size=h, replace=False))
-    adj = oracle.query_block(sample)
-    uu, vv, counts = _subsample_counts(adj)
+    # the h x h block lives only as long as the counting needs it
+    uu, vv, counts = _subsample_counts(oracle.query_block(sample))
     kept = (counts >= plan.E_S) | (counts <= plan.E_D)
 
     _, comp = _components(h, uu[kept], vv[kept])

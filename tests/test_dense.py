@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab import thresholds as th
 from gbmlab.geometry import sample_sphere
+from gbmlab.graph import from_edges
 from gbmlab.rng import substream
 
 
@@ -75,6 +78,34 @@ class TestEdgeOracle:
             assert np.array_equal(block[iu, jv], pairs)
             assert np.array_equal(block, block.T)
 
+    def test_block_rejects_duplicates(self):
+        inst = gen.gen_gbm_t(20, 2, 0.6, 0.3, seed=2)
+        orc = dn.GraphEdgeOracle(inst.graph)
+        with pytest.raises(ValueError):
+            orc.query_block(np.array([4, 1, 4]))
+        assert orc.queries == 0
+
+    def test_no_quadratic_state(self):
+        # n = 1e6 would need 1 TB as an n x n bitmap; the record is O(n + probes)
+        class Parity(dn.EdgeOracle):
+            def _answer(self, us, vs):
+                return (us + vs) % 2 == 0
+
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            orc = Parity(n)
+            ans = orc.query_cross(np.arange(10), np.arange(n - 20, n))
+            orc.query_block(np.array([3, n - 1, 500_000]))
+            orc.query_pairs([0, 7], [n - 20, n - 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+        assert np.array_equal(ans, (np.arange(10)[:, None] + np.arange(n - 20, n)) % 2 == 0)
+        # (3, n - 1) came with the cross block; (0, n - 20) and (7, n - 2) too
+        assert orc.queries == 10 * 20 + 2
+
     def test_rejects_self_pairs(self):
         inst = gen.gen_gbm_t(20, 2, 0.6, 0.3, seed=2)
         orc = dn.GraphEdgeOracle(inst.graph)
@@ -101,6 +132,18 @@ class TestQueryCross:
         orc.query_cross([0, 55], [9, 3, 40])     # transposed block: same pairs
         assert orc.queries == 6
         assert np.array_equal(a1, a2)
+
+    def test_blocks_sharing_cols_all_stay_recorded(self):
+        # phase 2's chunks all probe against the same columns
+        inst = gen.gen_gbm_t(60, 2, 0.6, 0.3, seed=2)
+        orc = dn.GraphEdgeOracle(inst.graph)
+        orc.query_cross([1, 2], [10, 11])
+        orc.query_cross([3, 4], [11, 10])
+        orc.query_cross([5], [10, 11])
+        assert orc.queries == 10
+        orc.query_cross([5, 4, 3, 2, 1], [11, 10])
+        orc.query_pairs([1, 10, 5], [11, 4, 11])
+        assert orc.queries == 10
 
     def test_earlier_probes_not_recounted(self):
         inst = gen.gen_gbm_t(60, 2, 0.6, 0.3, seed=2)
@@ -159,13 +202,6 @@ class TestSubsampleCounts:
         assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
         a = adj.astype(np.int64)
         assert np.array_equal(counts, (a @ a)[uu, vv])
-
-
-class TestMajorityAssign:
-    def test_examples(self):
-        assert dn.majority_assign(5, 3) == 0
-        assert dn.majority_assign(0, 1) == 1
-        assert dn.majority_assign(2, 2) == 0   # documented tie-break
 
 
 class TestBalanceCheck:
@@ -242,6 +278,24 @@ class TestDenseRecover:
             plan = th.dense_plan(n, 2, r_s, r_d)
             per_n.append(plan.query_budget / n)
         assert per_n[1] / per_n[0] < 2.5
+
+    def test_ties_go_to_cluster_0(self):
+        # two cliques and four isolated vertices: phase 1 finds the cliques,
+        # and an isolated vertex outside the sample sees k1 = k2 = 0 neighbors
+        n = 40
+        cliques = [np.arange(0, 18), np.arange(18, 36)]
+        edges = np.concatenate([np.argwhere(np.triu(np.ones((18, 18), bool), 1)) + c[0]
+                                for c in cliques])
+        orc = dn.GraphEdgeOracle(from_edges(n, edges[:, 0], edges[:, 1]))
+        plan = th.DensePlan(n=n, t=2, r_s=1.0, r_d=0.5, g=3, h=20, g_formula=3,
+                            E_S=0.0, E_D=-1.0, theta_S=1.0, theta_D=1.0)
+        res = dn.dense_recover(orc, n, 2, 1.0, 0.5, plan, seed=1)
+        assert res.status == "ok"
+        isolated = np.arange(36, 40)
+        assert res.ties == int((res.labels[isolated] != -1).sum()) > 0
+        assert np.all(res.labels[isolated][res.labels[isolated] != -1] == 0)
+        a, b = res.labels[cliques[0]], res.labels[cliques[1]]
+        assert len(set(a)) == len(set(b)) == 1 and a[0] != b[0]
 
     def test_ties_recorded(self):
         n, t, r_s, r_d = 2000, 2, 0.8, 0.4

@@ -330,3 +330,48 @@ class TestDenseQueryAccounting:
             assert res.status == "phase1_degenerate"
             assert res.queries_used == h * (h - 1) // 2
             assert np.all(res.labels == rec.UNASSIGNED)
+
+
+class TestProbeRecord:
+    """`EdgeOracle.queries` against a brute-force set of the pairs probed so far."""
+
+    @SETTINGS
+    @given(st.data())
+    def test_queries_and_answers_over_interleaved_probes(self, data):
+        n = data.draw(st.integers(2, 24))
+        if data.draw(st.booleans()):
+            x = sample_sphere(substream(data.draw(st.integers(0, 2 ** 32 - 1))), n, 2)
+            labels = np.arange(n) % 2
+            r_s, r_d = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.1, 2.0))
+            oracle = dn.GbmEdgeOracle(x, labels, r_s, r_d)
+            d2 = ((x[:, None] - x[None, :]) ** 2).sum(axis=-1)
+            rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
+        else:
+            upper = np.triu(substream(data.draw(st.integers(0, 2 ** 32 - 1))).random((n, n)) < 0.5, 1)
+            oracle = dn.GraphEdgeOracle(from_edges(n, *np.nonzero(upper)))
+            rule = upper | upper.T
+        probed = set()
+        vertex = st.integers(0, n - 1)
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(["pairs", "block", "cross"]))
+            if kind == "pairs":
+                pairs = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+                                           max_size=30))
+                us = np.array([p[0] for p in pairs], dtype=np.int64)
+                vs = np.array([p[1] for p in pairs], dtype=np.int64)
+                got, want = oracle.query_pairs(us, vs), rule[us, vs]
+                probed |= {(min(p), max(p)) for p in pairs}
+            elif kind == "block":
+                sample = np.array(data.draw(st.lists(vertex, unique=True)), dtype=np.int64)
+                got = oracle.query_block(sample)
+                want = rule[np.ix_(sample, sample)] & ~np.eye(len(sample), dtype=bool)
+                probed |= {(min(a, b), max(a, b)) for a in sample for b in sample if a != b}
+            else:
+                both = data.draw(st.lists(vertex, unique=True, min_size=1))
+                k = data.draw(st.integers(0, len(both)))
+                rows, cols = np.array(both[:k], np.int64), np.array(both[k:], np.int64)
+                got = oracle.query_cross(rows, cols)
+                want = rule[np.ix_(rows, cols)]
+                probed |= {(min(a, b), max(a, b)) for a in rows for b in cols}
+            assert np.array_equal(got, want)
+            assert oracle.queries == len(probed)
