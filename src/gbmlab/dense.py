@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import squared_chord
 from .graph import Graph
-from .recovery import UNASSIGNED, _components, _sorted_pair_counts
+from .recovery import UNASSIGNED, _components, _window_counts
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -216,13 +216,12 @@ class DenseResult:
 def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Induced edges (u, v) and their common-neighbor counts within the sample."""
     h = adj.shape[0]
-    bits = np.packbits(adj, axis=1)
-    pad = (-bits.shape[1]) % 8
-    if pad:
-        bits = np.concatenate([bits, np.zeros((h, pad), np.uint8)], axis=1)
-    words = np.ascontiguousarray(bits).view(np.uint64)
-    # upper-triangle pairs row chunk by row chunk, in np.nonzero's row-major
-    # order, into arrays sized by a first counting pass
+    nw = -(-h // 64)
+    # full rows in np.packbits order, each followed by nw zero words: the
+    # layout of `Graph.packed_rows` with every window starting at word 0
+    rows = np.zeros((h, 16 * nw), dtype=np.uint8)
+    # rows packed and upper-triangle pairs taken row chunk by row chunk, the
+    # pairs in np.nonzero's row-major order into arrays sized by a first pass
     step = max(1, (1 << 20) // max(h, 1))
     starts = range(0, h, step)
     ends = np.cumsum([0] + [np.count_nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
@@ -230,10 +229,11 @@ def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     uu = np.empty(ends[-1], dtype=np.intp)
     vv = np.empty(ends[-1], dtype=np.intp)
     for i0, s, e in zip(starts, ends, ends[1:]):
+        rows[i0:i0 + step, :-(-h // 8)] = np.packbits(adj[i0:i0 + step], axis=1)
         r, c = np.nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
         uu[s:e] = r + i0
         vv[s:e] = c
-    return uu, vv, _sorted_pair_counts(words, uu, vv)
+    return uu, vv, _window_counts(rows.view(np.uint64), np.zeros(h, dtype=np.int64), uu, vv)
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,

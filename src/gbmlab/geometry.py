@@ -116,8 +116,9 @@ def cap_fraction(t: int, r: float) -> float:
     r = float(r)
     if not 0.0 <= r <= 2.0:
         raise ValueError(f"chord radius must lie in [0, 2], got {r}")
-    cos_a = 1.0 - 0.5 * r * r
-    return _polar_cap(t, max(0.0, 1.0 - cos_a * cos_a), cos_a >= 0.0)
+    # cos a = 1 - r^2 / 2: sin^2 a = r^2 (1 - r^2 / 4), which unlike 1 - cos^2 a
+    # does not cancel at small r, and a <= pi / 2 iff r^2 <= 2
+    return _polar_cap(t, max(0.0, r * r * (1.0 - 0.25 * r * r)), r * r <= 2.0)
 
 
 def annulus_fraction(t: int, r1: float, r2: float) -> float:

@@ -35,17 +35,32 @@ class Graph:
         return i < len(nbrs) and nbrs[i] == v
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized ``has_edge``: whether each pair (us[i], vs[i]) is an edge."""
-        n = self.n
-        # edges are sorted by lo * n + hi; the sentinel n * n closes the search
-        edge_keys = np.append(self.edges[:, 0].astype(np.int64) * n + self.edges[:, 1], n * n)
-        keys = np.minimum(us, vs).astype(np.int64) * n + np.maximum(us, vs)
-        # searching in key order keeps the binary searches cache-local
-        order = np.argsort(keys)
-        keys = keys[order]
-        hit = np.empty(len(keys), dtype=bool)
-        hit[order] = edge_keys[np.searchsorted(edge_keys, keys)] == keys
-        return hit
+        """Vectorized ``has_edge``: whether each pair (us[i], vs[i]) is an edge.
+
+        A branch-free binary search for vs[i] inside the sorted CSR slice of
+        us[i], all pairs stepping together by the same powers of two; its
+        buffers are pair-sized.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        indices, last = self.indices, len(self.indices) - 1
+        if last < 0:
+            return np.zeros(np.broadcast(us, vs).shape, dtype=bool)
+        pos = self.indptr[us]      # every neighbor of us[i] before pos[i] is < vs[i]
+        end = self.indptr[us + 1]
+        probe = np.empty_like(pos)
+        below = np.empty(pos.shape, dtype=bool)
+        step = 1 << int(self.degrees().max()).bit_length()
+        while step > 1:
+            step >>= 1
+            # advance by step where the entry at pos + step - 1 is in the slice and < v
+            np.add(pos, step - 1, out=probe)
+            np.less(probe, end, out=below)
+            np.minimum(probe, last, out=probe)
+            below &= indices[probe] < vs
+            np.add(pos, step, out=probe)
+            np.copyto(pos, probe, where=below)
+        return (pos < end) & (indices[np.minimum(pos, last)] == vs)
 
     def adjacency_bool(self) -> np.ndarray:
         """Dense (n, n) boolean adjacency. Intended for n up to ~2e4."""
@@ -55,22 +70,44 @@ class Graph:
             a[self.edges[:, 1], self.edges[:, 0]] = True
         return a
 
-    def packed_rows(self) -> np.ndarray:
-        """Bit-packed adjacency rows as uint64 words, for bulk intersection counts.
+    def packed_rows(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bit-packed adjacency rows in a vertex order, each in a window of W uint64 words.
 
-        Bits are set straight from the CSR arrays in np.packbits order (the
-        first column in the most significant bit of byte 0), with each row
-        zero-padded to whole words.
+        Vertex u becomes row and column pos[u].  With bw the bandwidth of
+        that order (the largest |pos[u] - pos[v]| over edges) and
+        nw = ceil(n / 64), W = min(nw, floor(2 bw / 64) + 2), and the window
+        of row i starts at word s_i = clip(floor((i - bw) / 64), 0, nw - W),
+        which holds every column within bw of i.  Returns the starts s and
+        an (n, 2W) array: row i's window, then W zero words that let
+        `recovery._window_counts` shift it.  Column c of row i is bit
+        c - 64 s_i of the window in np.packbits order (the first column in
+        the most significant bit of byte 0).  When bw is close to n, W = nw
+        and every s_i = 0: the full rows.
         """
-        words = -(-self.n // 64)
-        row_bytes = 8 * words
-        flat = np.zeros(self.n * row_bytes, dtype=np.uint8)
-        bits = np.left_shift(np.uint8(1), (~self.indices & 7).astype(np.uint8))
-        at = np.repeat(np.arange(self.n, dtype=np.int64) * row_bytes, self.degrees())
-        at += self.indices >> 3
+        n = self.n
+        rows = np.repeat(pos, self.degrees())
+        cols = pos[self.indices]
+        # both orientations of every edge are present, so the largest signed
+        # difference is the bandwidth
+        bw = int((rows - cols).max(initial=0))
+        nw = -(-n // 64)
+        w = min(nw, 2 * bw // 64 + 2)
+        starts = np.clip((np.arange(n, dtype=np.int64) - bw) // 64, 0, nw - w)
+        flat = np.zeros(n * 16 * w, dtype=np.uint8)
+        bits = np.left_shift(np.uint8(1), np.uint8(7) - (cols.astype(np.uint8) & np.uint8(7)))
+        # the byte of column c in row i: 8 (2 W i - s_i) + c // 8, built in place
+        at = rows
+        off = starts[rows]
+        at *= 2 * w
+        at -= off
+        del off
+        at <<= 3
+        cols >>= 3
+        at += cols
+        del rows, cols
         # neighbors are distinct, so adding distinct bits of one byte is an or
         np.add.at(flat, at, bits)
-        return flat.view(np.uint64).reshape(self.n, words)
+        return flat.view(np.uint64).reshape(n, 2 * w), starts
 
     def validate(self) -> None:
         """Check simplicity, symmetry and sortedness; raises on violation."""
@@ -158,16 +195,31 @@ def write_graph(path: str, graph: Graph, t: int = 1) -> None:
 
 
 def read_graph(path: str) -> tuple[Graph, int]:
-    """Read the format written by write_graph; returns (graph, t)."""
+    """Read the format written by write_graph; returns (graph, t).
+
+    The edge lines are parsed as one run of whitespace-separated integers.
+    Raises ValueError on a malformed header, a token that is not an
+    integer, an odd number of endpoints or an edge count other than m.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed header")
-        n, m, t = (int(x) for x in header)
-        data = np.loadtxt(fh, dtype=np.int64, ndmin=2) if m else np.empty((0, 2), np.int64)
-    if data.shape != (m, 2):
-        raise ValueError(f"{path}: expected {m} edges, found {data.shape[0]}")
-    return from_edges(n, data[:, 0], data[:, 1]), t
+        body = fh.read()
+    if len(header) != 3:
+        raise ValueError(f"{path}: malformed header")
+    n, m, t = (int(x) for x in header)
+    # np.fromstring reads a blank string as [0]
+    if not body or body.isspace():
+        ends = np.empty(0, np.int64)
+    else:
+        try:
+            ends = np.fromstring(body, dtype=np.int64, sep=" ")
+        except ValueError:
+            raise ValueError(f"{path}: edge lines hold a token that is not an integer") from None
+    if len(ends) % 2:
+        raise ValueError(f"{path}: odd number of endpoints ({len(ends)})")
+    if len(ends) != 2 * m:
+        raise ValueError(f"{path}: expected {m} edges, found {len(ends) // 2}")
+    return from_edges(n, ends[0::2], ends[1::2]), t
 
 
 def write_embeddings(path: str, embeddings: np.ndarray) -> None:

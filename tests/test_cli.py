@@ -160,6 +160,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("body", ["0 1\n1 x\n", "0 1\n1\n", "0 1\n", "0 1\n1 2\n0 2\n"])
+    def test_malformed_graph_file_clean_error(self, tmp_path, capsys, body):
+        # a non-integer token, an odd token count, too few and too many edges
+        p = tmp_path / "bad.graph.txt"
+        p.write_text("3 2 1\n" + body)
+        assert run_cli("recover", "--in", str(p), "--a", "13", "--b", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(p) in err and len(err.splitlines()) == 1
+
     def test_malformed_phase_point_clean_error(self, capsys):
         assert run_cli("phase", "--n", "100", "--points", "1.6") == 1
         err = capsys.readouterr().err

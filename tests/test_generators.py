@@ -220,6 +220,29 @@ class TestGraphIO(object):
         with pytest.raises(ValueError, match="duplicate"):
             gr.read_graph(str(p))
 
+    @pytest.mark.parametrize("body, match", [
+        ("0 1\n1 x\n", "not an integer"),
+        ("0 1\n1 2.5\n", "not an integer"),
+        ("0 1\n1\n", "odd number"),
+        ("0 1\n", "expected 2 edges, found 1"),
+        ("0 1\n1 2\n0 2\n", "expected 2 edges, found 3"),
+        ("", "expected 2 edges, found 0"),
+    ])
+    def test_malformed_edge_lines_rejected(self, tmp_path, body, match):
+        p = tmp_path / "bad.txt"
+        p.write_text("3 2 1\n" + body)
+        with pytest.raises(ValueError, match=match):
+            gr.read_graph(str(p))
+
+    def test_whitespace_tolerant(self, tmp_path):
+        p = tmp_path / "ws.txt"
+        p.write_text("3 2 1\n0  1\r\n\t1 2 \n\n")
+        g, t = gr.read_graph(str(p))
+        assert t == 1 and g.edges.tolist() == [[0, 1], [1, 2]]
+        p.write_text("4 0 2\n \n")
+        g, t = gr.read_graph(str(p))
+        assert t == 2 and g.n == 4 and g.m == 0
+
     def test_self_loop_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="self-loop"):
             gr.from_edges(3, [0, 2], [1, 2])

@@ -96,6 +96,11 @@ class TestCapFraction:
         for r in np.linspace(0.0, 2.0, 41):
             assert geo.cap_fraction(2, float(r)) == pytest.approx(r * r / 4.0, abs=1e-12)
 
+    def test_small_r_no_cancellation(self):
+        # sin^2 a taken as 1 - cos^2 a lost every digit here: 0.0 at r = 1e-8
+        for r in (1e-8, 1e-6, 1e-4):
+            assert geo.cap_fraction(2, r) == pytest.approx(r * r / 4.0, rel=1e-12, abs=0)
+
     def test_monotone(self):
         for t in (1, 2, 4):
             vals = [geo.cap_fraction(t, r) for r in np.linspace(0, 2, 60)]

@@ -14,7 +14,7 @@ from gbmlab.geometry import sample_sphere
 from gbmlab.graph import from_edges
 from gbmlab.rng import substream
 from gbmlab.thresholds import DensePlan
-from test_recovery import bfs_components
+from test_recovery import bfs_components, common_neighbor_count
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -73,14 +73,43 @@ class TestFromEdges:
         g.validate()
 
     @SETTINGS
-    @given(edge_lists(allow_repeats=False))
-    def test_packed_rows_match_packbits(self, case):
+    @given(edge_lists(max_n=200, allow_repeats=False), st.data())
+    def test_packed_rows_match_packbits(self, case, data):
+        # the windows, put back at their starts, are the packbits rows of the
+        # adjacency in the order pos
         n, u, v = case
         g = from_edges(n, u, v)
-        bits = np.packbits(g.adjacency_bool(), axis=1)
-        pad = (-bits.shape[1]) % 8
-        bits = np.concatenate([bits, np.zeros((n, pad), np.uint8)], axis=1)
-        assert np.array_equal(g.packed_rows(), bits.view(np.uint64))
+        pos = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+        rows, starts = g.packed_rows(pos)
+        nw = -(-n // 64)
+        bw = int(np.abs(pos[u] - pos[v]).max(initial=0))
+        w = min(nw, 2 * bw // 64 + 2)
+        assert rows.shape == (n, 2 * w) and rows.dtype == np.uint64
+        assert not rows[:, w:].any()
+        words = rows[:, :w]
+        assert np.array_equal(starts, np.clip((np.arange(n) - bw) // 64, 0, nw - w))
+        full = np.zeros((n, nw), dtype=np.uint64)
+        for i in range(n):
+            full[i, starts[i]:starts[i] + w] = words[i]
+        adj = np.zeros((n, n), dtype=bool)
+        adj[np.ix_(pos, pos)] = g.adjacency_bool()
+        bits = np.packbits(adj, axis=1)
+        bits = np.concatenate([bits, np.zeros((n, 8 * nw - bits.shape[1]), np.uint8)], axis=1)
+        assert np.array_equal(full, bits.view(np.uint64))
+
+    @SETTINGS
+    @given(edge_lists(max_n=100, allow_repeats=False), st.data())
+    def test_has_edges_matches_edge_set(self, case, data):
+        n, u, v = case
+        g = from_edges(n, u, v)
+        edge_set = {(min(a, b), max(a, b)) for a, b in zip(u.tolist(), v.tolist())}
+        vertex = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+        pairs += [(b, a) for a, b in zip(u.tolist(), v.tolist())]
+        us = np.array([p[0] for p in pairs], dtype=np.int64)
+        vs = np.array([p[1] for p in pairs], dtype=np.int64)
+        want = [(min(a, b), max(a, b)) in edge_set for a, b in pairs]
+        assert g.has_edges(us, vs).tolist() == want
 
     @SETTINGS
     @given(edge_lists(allow_repeats=False), st.integers(0, 10 ** 6))
@@ -375,3 +404,56 @@ class TestProbeRecord:
                 probed |= {(min(a, b), max(a, b)) for a in rows for b in cols}
             assert np.array_equal(got, want)
             assert oracle.queries == len(probed)
+
+
+@st.composite
+def count_graphs(draw):
+    """(graph, us, vs): up to three parts (random of any density, ring lattice
+    or path band) plus isolated vertices, under a random labelling, and the
+    pairs to count: every edge and some random pairs u != v."""
+    rng = substream(draw(st.integers(0, 2 ** 32 - 1)))
+    us, vs, n = [], [], 0
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["random", "ring", "band"]))
+        size = draw(st.integers(3, 150))
+        if kind == "random":
+            u, v = np.nonzero(np.triu(rng.random((size, size)) < draw(st.floats(0.0, 1.0)), 1))
+        else:
+            k = draw(st.integers(1, (size - 1) // 2))
+            u = np.repeat(np.arange(size), k)
+            v = u + np.tile(np.arange(1, k + 1), size)
+            keep = v < size if kind == "band" else slice(None)
+            u, v = u[keep], v[keep] % size
+        us.append(u + n)
+        vs.append(v + n)
+        n += size
+    n += draw(st.integers(0, 70))
+    label = rng.permutation(n)
+    u = label[np.concatenate(us)] if us else np.empty(0, np.int64)
+    v = label[np.concatenate(vs)] if vs else np.empty(0, np.int64)
+    g = from_edges(n, u, v)
+    pu, pv = (rng.integers(0, n, 50), rng.integers(0, n, 50)) if n else (u, v)
+    keep = pu != pv
+    return g, np.concatenate([g.edges[:, 0], pu[keep]]), np.concatenate([g.edges[:, 1], pv[keep]])
+
+
+class TestCommonNeighborCounts:
+    """Windowed bit-packed counts against a per-pair sorted-merge oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(count_graphs())
+    def test_matches_intersect1d(self, case):
+        g, us, vs = case
+        got = rec.bulk_common_neighbor_counts(g, us, vs)
+        want = [common_neighbor_count(g, a, b) for a, b in zip(us.tolist(), vs.tolist())]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
+    def test_complete_graph_full_width(self, n):
+        # every order of K_n has bandwidth n - 1, so each window is the full row
+        u, v = np.triu_indices(n, 1)
+        g = from_edges(n, u, v)
+        rows, starts = g.packed_rows(np.arange(n))
+        assert rows.shape[1] == 2 * -(-n // 64) and not starts.any()
+        counts = rec.bulk_common_neighbor_counts(g, g.edges[:, 0], g.edges[:, 1])
+        assert np.all(counts == n - 2)

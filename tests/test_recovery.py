@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,26 +33,35 @@ def bfs_components(n, edges):
     return np.array(comp)
 
 
+def common_neighbor_count(graph, u, v):
+    """Oracle: size of the neighbor-set intersection of u and v, by sorted merge."""
+    return int(np.intersect1d(graph.neighbors(u), graph.neighbors(v), assume_unique=True).size)
+
+
+def one_count(graph, u, v):
+    return int(rec.bulk_common_neighbor_counts(graph, np.array([u]), np.array([v]))[0])
+
+
 class TestCommonNeighborCount:
     def test_triangle(self):
         g = from_edges(3, [0, 1, 0], [1, 2, 2])
-        assert rec.common_neighbor_count(g, 0, 1) == 1
+        assert one_count(g, 0, 1) == 1
 
     def test_path(self):
         g = from_edges(3, [0, 1], [1, 2])
-        assert rec.common_neighbor_count(g, 0, 2) == 1
-        assert rec.common_neighbor_count(g, 0, 1) == 0
+        assert one_count(g, 0, 2) == 1
+        assert one_count(g, 0, 1) == 0
 
     def test_empty(self):
         g = empty_graph(5)
-        assert rec.common_neighbor_count(g, 0, 4) == 0
+        assert one_count(g, 0, 4) == 0
+        assert rec.bulk_common_neighbor_counts(g, [], []).shape == (0,)
 
     def test_rejects_bad_ids(self):
         g = empty_graph(5)
-        with pytest.raises(ValueError):
-            rec.common_neighbor_count(g, 0, 0)
-        with pytest.raises(ValueError):
-            rec.common_neighbor_count(g, 0, 7)
+        for u, v in ((0, 0), (0, 7), (-1, 2)):
+            with pytest.raises(ValueError):
+                one_count(g, u, v)
 
     def test_bulk_matches_pairwise(self):
         inst = gen.gen_gbm1(400, 0.05, 0.02, seed=3)
@@ -59,12 +69,37 @@ class TestCommonNeighborCount:
         us, vs = g.edges[:, 0], g.edges[:, 1]
         bulk = rec.bulk_common_neighbor_counts(g, us, vs)
         for i in range(0, g.m, max(1, g.m // 50)):
-            assert bulk[i] == rec.common_neighbor_count(g, int(us[i]), int(vs[i]))
+            assert bulk[i] == common_neighbor_count(g, int(us[i]), int(vs[i]))
+
+    def test_no_quadratic_state(self):
+        # a ring lattice of degree 20 at n = 1e5: full packed rows would be
+        # n^2 / 8 = 1.25 GB, its windows are 2 words a row
+        n, k = 10 ** 5, 10
+        u = np.repeat(np.arange(n), k)
+        v = (u + np.tile(np.arange(1, k + 1), n)) % n
+        g = from_edges(n, u, v)
+        del u, v
+        tracemalloc.start()
+        try:
+            counts = rec.bulk_common_neighbor_counts(g, g.edges[:, 0], g.edges[:, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        # neighbors at ring distance d <= k share 2k - 1 - d neighbors
+        d = g.edges[:, 1] - g.edges[:, 0]
+        d = np.minimum(d, n - d)
+        assert np.array_equal(counts, 2 * k - 1 - d)
 
 
 class TestProcessEdge:
+    """The keep rule of recover_gbm1 at and around its two thresholds."""
+
     def setup_method(self):
         self.ts = th.thresholds_1d(5000, 13.0, 1.0)
+
+    def keep(self, count, ts):
+        return bool(rec._keep_1d(np.array([count]), 5000, ts)[0])
 
     def test_exactly_at_upper_threshold_kept(self):
         count = int(round(self.ts.E_S * 5000))
@@ -73,19 +108,22 @@ class TestProcessEdge:
                                theta1=self.ts.theta1, theta2=self.ts.theta2,
                                E_S=count / 5000, E_D=self.ts.E_D,
                                divergence_target=1.0)
-        assert rec.process_edge(count, 5000, ts) is True
+        assert ts.E_S * 5000 == count
+        assert self.keep(count, ts) is True
+        assert self.keep(count - 1, ts) is False
 
     def test_between_thresholds_removed(self):
         mid = int((self.ts.E_D * 5000 + self.ts.E_S * 5000) / 2)
-        assert rec.process_edge(mid, 5000, self.ts) is False
+        assert self.keep(mid, self.ts) is False
 
     def test_low_branch(self):
         low = int(self.ts.E_D * 5000)   # floor is below E_D * n
-        assert rec.process_edge(low, 5000, self.ts) is True
+        assert self.keep(low, self.ts) is True
 
     def test_disabled_low_branch(self):
         ts = th.thresholds_1d(5000, 3.2, 0.01)
-        assert rec.process_edge(0, 5000, ts) is False
+        assert ts.E_D is None
+        assert self.keep(0, ts) is False
 
 
 class TestConnectedComponents:
@@ -192,10 +230,10 @@ class TestRecoverGbm1:
         u, v = map(int, g.edges[0])
         nbrs = set(g.neighbors(u)) | set(g.neighbors(v)) | {u, v}
         z = next(i for i in range(g.n) if i not in nbrs)
-        before = rec.common_neighbor_count(g, u, v)
+        before = common_neighbor_count(g, u, v)
         keep = ~((g.edges[:, 0] == z) | (g.edges[:, 1] == z))
         g2 = from_edges(g.n, g.edges[keep, 0], g.edges[keep, 1])
-        assert rec.common_neighbor_count(g2, u, v) == before
+        assert common_neighbor_count(g2, u, v) == before
 
     def test_decisions_table(self):
         inst = gen.gen_gbm1(500, 0.04, 0.01, seed=2)
