@@ -66,9 +66,9 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     w = rows.shape[1] // 2
     windows = rows[:, :w]
     shifted = sliding_window_view(rows, w, axis=1)
-    # a pair's count is at most 64 W < 2^24 (W <= ceil(n / 64) words), an
-    # integer that a float32 matrix-vector product sums exactly, and faster
-    # than an integer row sum
+    # a count is an integer of at most 64 W, exact in float32 while
+    # 64 W <= 2^24 (true for every n <= 2^24); a float32 matrix-vector
+    # product sums the popcounts faster than an integer row sum
     ones = np.ones(w, dtype=np.float32)
     counts = np.empty(len(lo), dtype=np.int64)
     step = max(1, (1 << 16) // max(w, 1))
@@ -85,9 +85,9 @@ def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) ->
     The vertices are first put in reverse Cuthill-McKee order, which on
     geometric graphs gives a small bandwidth bw, and each row is packed in
     a window of W = min(ceil(n / 64), floor(2 bw / 64) + 2) words
-    (`Graph.packed_rows`): n W 8 bytes, 11 words a row on the n = 2e4
-    circle instances against 313 for full rows.  Counts do not depend on
-    the order.  Raises ValueError on a vertex id out of range or a pair
+    (`Graph.packed_rows`), 16 n W bytes with the kernel's zero padding:
+    W is 11 on the n = 2e4 circle instances, against 313 words for full
+    rows.  Counts do not depend on the order.  Raises ValueError on a vertex id out of range or a pair
     u = v.
     """
     n = graph.n

@@ -448,6 +448,21 @@ class TestCommonNeighborCounts:
         want = [common_neighbor_count(g, a, b) for a, b in zip(us.tolist(), vs.tolist())]
         assert got.dtype == np.int64 and got.tolist() == want
 
+    @pytest.mark.parametrize("k", [5, 40, 90])
+    def test_far_pairs_in_band(self, k):
+        # windows of pairs more than W words apart do not overlap, while the
+        # edge words of every window hold bits
+        n = 1500
+        u = np.repeat(np.arange(n), k)
+        v = u + np.tile(np.arange(1, k + 1), n)
+        keep = v < n
+        label = substream(k).permutation(n)
+        g = from_edges(n, label[u[keep]], label[v[keep]])
+        pairs = substream(k + 1).integers(0, n, (2, 3000))
+        us, vs = pairs[:, pairs[0] != pairs[1]]
+        got = rec.bulk_common_neighbor_counts(g, us, vs)
+        assert got.tolist() == [common_neighbor_count(g, a, b) for a, b in zip(us.tolist(), vs.tolist())]
+
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
     def test_complete_graph_full_width(self, n):
         # every order of K_n has bandwidth n - 1, so each window is the full row
