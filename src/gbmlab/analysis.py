@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (IntervalSet, _circle_band_pairs, _sphere_pairs_within,
-                         interval_union_edges_only, rag1_edges_only, rag_t_edges_only,
+from .generators import (IntervalSet, _circle_band_pairs, _circle_band_rows, _rag1_positions,
+                         _sphere_pairs_within, interval_union_edges_only, rag_t_edges_only,
                          radius_from_scale)
 from .geometry import annulus_fraction, psi
 from .graph import Graph
@@ -190,7 +190,10 @@ def _phase_trial(args) -> tuple[bool, bool, int]:
     trial_seed = (seed, gi, ti)
     ln = math.log(n)
     if family == "rag1":
-        _, u, v = rag1_edges_only(n, b * ln / n, a * ln / n, trial_seed)
+        # the rank-order rows of rag1_edges_only: counts do not depend on the labelling
+        r1, r2 = b * ln / n, a * ln / n
+        _, indptr, v = _circle_band_rows(_rag1_positions(n, r1, r2, trial_seed), r1, r2)
+        u = np.repeat(np.arange(n), np.diff(indptr))
     elif family == "rag_t":
         _, u, v = rag_t_edges_only(n, t, radius_from_scale(b, n, t),
                                    radius_from_scale(a, n, t), trial_seed)

@@ -214,25 +214,39 @@ class DenseResult:
 
 
 def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induced edges (u, v) and their common-neighbor counts within the sample."""
+    """Induced edges (u, v) and their common-neighbor counts within the sample.
+
+    `adj` is the symmetric zero-diagonal block of `query_block`.  Its pairs
+    u < v come in row-major order, read with one `np.flatnonzero` per row
+    chunk into arrays sized by half its nonzeros; raises ValueError when its
+    upper triangle does not hold that many.
+    """
     h = adj.shape[0]
     nw = -(-h // 64)
     # full rows in np.packbits order, each followed by nw zero words: the
     # layout of `Graph.packed_rows` with every window starting at word 0
     rows = np.zeros((h, 16 * nw), dtype=np.uint8)
     # rows packed and upper-triangle pairs taken row chunk by row chunk, the
-    # pairs in np.nonzero's row-major order into arrays sized by a first pass
+    # pairs in row-major order into arrays sized up front: the block is
+    # symmetric with a zero diagonal, so it holds each pair twice
+    m = np.count_nonzero(adj) // 2
+    uu = np.empty(m, dtype=np.intp)
+    vv = np.empty(m, dtype=np.intp)
+    s = 0
     step = max(1, (1 << 20) // max(h, 1))
-    starts = range(0, h, step)
-    ends = np.cumsum([0] + [np.count_nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
-                            for i0 in starts]).tolist()
-    uu = np.empty(ends[-1], dtype=np.intp)
-    vv = np.empty(ends[-1], dtype=np.intp)
-    for i0, s, e in zip(starts, ends, ends[1:]):
+    for i0 in range(0, h, step):
         rows[i0:i0 + step, :-(-h // 8)] = np.packbits(adj[i0:i0 + step], axis=1)
-        r, c = np.nonzero(np.triu(adj[i0:i0 + step], i0 + 1))
-        uu[s:e] = r + i0
-        vv[s:e] = c
+        r, c = np.divmod(np.flatnonzero(adj[i0:i0 + step]), h)
+        upper = c > r + i0
+        e = s + np.count_nonzero(upper)
+        if e > m:
+            raise ValueError("adjacency block is not symmetric with a zero diagonal")
+        uu[s:e] = r[upper] + i0
+        vv[s:e] = c[upper]
+        s = e
+    r = c = upper = None    # the last chunk's pairs, freed before the kernel
+    if s != m:
+        raise ValueError("adjacency block is not symmetric with a zero diagonal")
     return uu, vv, _window_counts(rows.view(np.uint64), np.zeros(h, dtype=np.int64), uu, vv)
 
 

@@ -71,50 +71,51 @@ class GbmInstance:
     params: dict
 
 
-def _ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-row [start, stop) index ranges into (row, index) pairs."""
-    lens = np.maximum(stops - starts, 0)
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    rows = np.repeat(np.arange(len(starts)), lens)
-    offsets = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-    cols = np.repeat(starts, lens) + offsets
-    return rows, cols
+def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
+    """All unordered pairs with wraparound distance in the closed band [lo, hi], as rank-order rows.
+
+    Returns (order, indptr, cols).  ``order`` is the stable argsort of the
+    positions, so rank i stands for vertex order[i]; the pairs of rank i
+    are (i, j) for j in cols[indptr[i]:indptr[i + 1]], every j > i and
+    ascending.  In these rows every pair appears once, rows come grouped,
+    and neighbouring ranks are neighbours on the circle.
+
+    Row i windows the raw gap delta = p[j] - p[i] over the sorted positions
+    p.  The distance min(delta, 1 - delta) lies in the band iff delta is in
+    [lo, h] or in [1 - h, 1 - lo], with h = min(hi, 1/2).  Each window is
+    one index range of the sorted array, and the first starts no later
+    than the second, so the second is taken from the end of the first on:
+    a pair in both windows (delta = 1/2) is kept once, by index arithmetic
+    alone.  A band with lo > hi is empty.
+    """
+    n = len(pos)
+    order = np.argsort(pos, kind="stable")
+    hi = min(hi, 0.5)
+    if n == 0 or lo > hi:
+        return order, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    p = pos[order]
+    after = np.arange(1, n + 1)
+    start1 = np.maximum(np.searchsorted(p, p + lo, side="left"), after)
+    stop1 = np.searchsorted(p, p + hi, side="right")
+    start2 = np.maximum(np.searchsorted(p, p + (1.0 - hi), side="left"), stop1)
+    stop2 = np.searchsorted(p, p + (1.0 - lo), side="right")
+    # the two ranges of each row, interleaved, expanded into their indices
+    starts = np.stack([start1, start2], axis=1).ravel()
+    lens = np.maximum(np.stack([stop1, stop2], axis=1).ravel() - starts, 0)
+    ends = np.cumsum(lens)
+    cols = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
+    return order, np.concatenate(([0], ends[1::2])), cols
 
 
 def _circle_band_pairs(pos: np.ndarray, lo: float, hi: float):
     """All unordered pairs with wraparound distance in the closed band [lo, hi].
 
-    Returns (u, v, distance) arrays.  Works by sorting positions and
-    windowing the raw gap delta = pos[j] - pos[i] (j after i in sorted
-    order), which covers the band via delta in [lo, hi] or in
-    [1-hi, 1-lo].
+    Returns (u, v, distance) arrays: the vertex-id view of
+    ``_circle_band_rows``, in its rank order, u the lower-ranked end.
     """
-    n = len(pos)
-    order = np.argsort(pos, kind="stable")
-    sp = pos[order]
-    us, vs = [], []
-    windows = [(lo, hi), (1.0 - hi, 1.0 - lo)]
-    for wlo, whi in windows:
-        if wlo > whi:
-            continue
-        if wlo > 0.0:
-            left = np.searchsorted(sp, sp + wlo, side="left")
-        else:
-            # gap 0 only pairs a vertex with itself or a positional tie
-            left = np.arange(1, n + 1)
-        right = np.searchsorted(sp, sp + whi, side="right")
-        i_idx, j_idx = _ragged_ranges(np.maximum(left, np.arange(1, n + 1)), right)
-        us.append(order[i_idx])
-        vs.append(order[j_idx])
-    u = np.concatenate(us) if us else np.empty(0, np.int64)
-    v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    if hi >= 0.5:
-        # the two windows can overlap at delta = 1/2; dedupe
-        enc = np.minimum(u, v) * n + np.maximum(u, v)
-        _, keep = np.unique(enc, return_index=True)
-        u, v = u[keep], v[keep]
+    order, indptr, cols = _circle_band_rows(pos, lo, hi)
+    u = np.repeat(order, np.diff(indptr))
+    v = order[cols]
     d = np.abs(pos[u] - pos[v])
     d = np.minimum(d, 1.0 - d)
     return u, v, d
@@ -229,12 +230,16 @@ def rag1_edges_only(n: int, r1: float, r2: float, seed: int):
 
     Cheap path for Monte-Carlo sweeps that only need degrees/components.
     """
-    if not 0.0 <= r1 <= r2 <= 0.5:
-        raise ValueError(f"need 0 <= r1 <= r2 <= 1/2, got [{r1}, {r2}]")
-    rng = _seeded(seed)
-    pos = sample_circle(rng, n)
+    pos = _rag1_positions(n, r1, r2, seed)
     u, v, _ = _circle_band_pairs(pos, r1, r2)
     return pos, u, v
+
+
+def _rag1_positions(n: int, r1: float, r2: float, seed) -> np.ndarray:
+    """The positions of a rag1 instance, after checking its band."""
+    if not 0.0 <= r1 <= r2 <= 0.5:
+        raise ValueError(f"need 0 <= r1 <= r2 <= 1/2, got [{r1}, {r2}]")
+    return sample_circle(_seeded(seed), n)
 
 
 def interval_union_edges_only(n: int, intervals: IntervalSet, seed: int):

@@ -32,14 +32,31 @@ UNASSIGNED = -1
 def _components(n: int, u, v) -> tuple[int, np.ndarray]:
     """(count, smallest-member id per vertex) of the undirected graph on pairs u-v.
 
-    The one components engine of the package: scipy's csgraph search plus
-    a minimum over each component's members.  Repeated pairs are allowed.
+    The one components engine of the package.  It builds the CSR matrix
+    of the pairs itself, each pair in one direction: row pointers from a
+    count of u, and columns v in the order of one stable argsort of u,
+    which is a single pass when the rows arrive grouped (rank-order band
+    rows, `Graph.edges`, the double cover of `recover_with_locations`).
+    No COO matrix is built, so no row gets sorted, no duplicate summed and
+    no symmetrized copy made; the float64 data is csgraph's own dtype, so
+    its validation copies nothing.  The weak components of this directed
+    graph are the components of the undirected one.  Repeated pairs and
+    self-pairs are allowed.  Raises ValueError on a vertex id out of range.
     """
     u = np.asarray(u)
+    v = np.asarray(v)
+    if len(u) != len(v):
+        raise ValueError("pair arrays differ in length")
     if len(u) == 0:
         return n, np.arange(n, dtype=np.int64)
-    adj = sp.coo_matrix((np.ones(len(u), dtype=np.int8), (u, np.asarray(v))), shape=(n, n))
-    ncomp, raw = csgraph.connected_components(adj, directed=False)
+    counts = np.bincount(u, minlength=n)    # raises on a negative id
+    if len(counts) > n or v.min() < 0 or v.max() >= n:
+        raise ValueError("vertex id out of range")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    cols = v[np.argsort(u, kind="stable")]
+    adj = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
+    ncomp, raw = csgraph.connected_components(adj, directed=True, connection="weak")
     smallest = np.full(ncomp, n, dtype=np.int64)
     np.minimum.at(smallest, raw, np.arange(n, dtype=np.int64))
     return int(ncomp), smallest[raw]
@@ -215,7 +232,9 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     The constraints are solved as components of their signed double cover
     on 2n vertices, where vertex u + n stands for "u in the other cluster":
     a same pair links u-v and (u+n)-(v+n), a different pair u-(v+n) and
-    (u+n)-v.  The constraints contradict each other iff some u shares a
+    (u+n)-v.  The cover is built on the rank-order rows of the band
+    primitive and its components are mapped back to vertex ids.  The
+    constraints contradict each other iff some u shares a
     component with u + n; that means the input was not generated by a
     block model with these radii (status "conflict", no labels).
     Otherwise the largest constraint component (ties: the one with the
@@ -230,17 +249,24 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     n = graph.n
     if len(embeddings) != n:
         raise ValueError(f"{len(embeddings)} embeddings for a graph on {n} vertices")
-    from .generators import _circle_band_pairs
-    us, vs, _ = _circle_band_pairs(embeddings, r_d, r_s)
-    pairs = len(us)
-    us = us.astype(np.int32)
-    vs = vs.astype(np.int32)
-    shift = np.where(graph.has_edges(us, vs), 0, n).astype(np.int32)   # 0: same pair, n: different pair
-    src = np.concatenate([us, us + np.int32(n)])
-    dst = np.concatenate([vs + shift, vs + (np.int32(n) - shift)])
-    del us, vs, shift
-    _, cid = _components(2 * n, src, dst)
+    from .generators import _circle_band_rows
+    # rank i stands for vertex order[i], and i + n for order[i] + n
+    order, indptr, cols = _circle_band_rows(embeddings, r_d, r_s)
+    pairs = len(cols)
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+    cols = cols.astype(np.int32)
+    shift = np.where(graph.has_edges(order[rows], order[cols]), 0, n).astype(np.int32)   # 0: same pair, n: different pair
+    src = np.concatenate([rows, rows + np.int32(n)])
+    dst = np.concatenate([cols + shift, cols + (np.int32(n) - shift)])
+    del rows, cols, shift
+    _, rank_cid = _components(2 * n, src, dst)
     del src, dst
+    # back to vertex ids, each component named by its smallest vertex-id member
+    cover = np.concatenate([order, order + n])
+    smallest = np.full(2 * n, 2 * n, dtype=np.int64)
+    np.minimum.at(smallest, rank_cid, cover)
+    cid = np.empty(2 * n, dtype=np.int64)
+    cid[cover] = smallest[rank_cid]
     # the smallest member of a constraint component is the smallest member of
     # one of its two cover components
     comp = np.minimum(cid[:n], cid[n:])

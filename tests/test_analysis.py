@@ -238,6 +238,26 @@ class TestPhaseSweep:
         assert good[0].connected_frac >= 0.7
         assert poor[0].connected_frac <= 0.3
 
+    @pytest.mark.parametrize("a, b", [(1.6, 1.0), (1.6, 1.3), (0.9, 0.0), (2.5, 2.0)])
+    def test_rag1_trial_matches_bfs(self, a, b):
+        # the trial works on rank-order band rows; its tuple must be that of
+        # the vertex-id pairs of rag1_edges_only under a BFS labelling
+        from test_recovery import bfs_components
+        n = 3000
+        ln = math.log(n)
+        for ti in range(4):
+            got = ana._phase_trial(("rag1", n, a, b, 0.0, 1, 31, 0, ti))
+            _, u, v = gen.rag1_edges_only(n, b * ln / n, a * ln / n, (31, 0, ti))
+            ncomp = len(np.unique(bfs_components(n, zip(u.tolist(), v.tolist()))))
+            iso = int((np.bincount(np.concatenate([u, v]), minlength=n) == 0).sum())
+            assert got == (ncomp == 1, iso > 0, ncomp)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.6), (1.6, -0.1), (60.0, 1.0)])
+    def test_rag1_trial_rejects_band(self, a, b):
+        # r1 > r2, r1 < 0 and r2 > 1/2 (60 log(500) / 500 = 0.75)
+        with pytest.raises(ValueError):
+            ana._phase_trial(("rag1", 500, a, b, 0.0, 1, 31, 0, 0))
+
     def test_rag_t_family(self):
         out = ana.phase_sweep(800, [(8.0, 0.5)], trials=3, seed=4,
                               family="rag_t", t=2)

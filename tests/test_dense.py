@@ -203,6 +203,16 @@ class TestSubsampleCounts:
         a = adj.astype(np.int64)
         assert np.array_equal(counts, (a @ a)[uu, vv])
 
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)]])
+    def test_rejects_block_not_symmetric(self, cells):
+        # the pair arrays are sized from half the block's nonzeros, which
+        # here is not the size of its upper triangle
+        adj = np.zeros((5, 5), dtype=bool)
+        for r, c in cells:
+            adj[r, c] = True
+        with pytest.raises(ValueError):
+            dn._subsample_counts(adj)
+
 
 class TestBalanceCheck:
     def test_even_split(self):

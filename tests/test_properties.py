@@ -10,7 +10,7 @@ from gbmlab import analysis as ana
 from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab import recovery as rec
-from gbmlab.geometry import sample_sphere
+from gbmlab.geometry import sample_circle, sample_sphere
 from gbmlab.graph import from_edges
 from gbmlab.rng import substream
 from gbmlab.thresholds import DensePlan
@@ -50,6 +50,34 @@ def reference_build(n, u, v):
     return edges, indptr, indices
 
 
+@st.composite
+def component_inputs(draw):
+    """(n, u, v): seeded pairs on up to 300 vertices as the engine may get them:
+    grouped by u or in any order, either orientation, with repeated pairs,
+    self-pairs and trailing vertices no pair touches."""
+    used = draw(st.integers(1, 250))
+    n = used + draw(st.integers(0, 50))
+    rng = substream(draw(st.integers(0, 2 ** 32 - 1)))
+    m = int(rng.integers(0, 3 * used + 1))
+    u = rng.integers(0, used, m)
+    v = rng.integers(0, used, m)
+    if draw(st.booleans()):
+        u = np.concatenate([u, u[:m // 3]])          # repeated pairs
+        v = np.concatenate([v, v[:m // 3]])
+    if draw(st.booleans()):
+        loops = rng.integers(0, n, int(rng.integers(1, 10)))
+        u, v = np.concatenate([u, loops]), np.concatenate([v, loops])
+    orientation = draw(st.sampled_from(["as drawn", "lo-hi", "hi-lo", "mixed"]))
+    if orientation != "as drawn":
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        flip = rng.random(len(u)) < 0.5 if orientation == "mixed" else orientation == "hi-lo"
+        u, v = np.where(flip, hi, lo), np.where(flip, lo, hi)
+    if draw(st.booleans()):
+        order = np.argsort(u, kind="stable")          # rows arrive grouped
+        u, v = u[order], v[order]
+    return n, u, v
+
+
 class TestConnectedComponents:
     @SETTINGS
     @given(edge_lists())
@@ -58,6 +86,15 @@ class TestConnectedComponents:
         edges = np.stack([u, v], axis=1)
         got = rec.connected_components(n, edges)
         assert np.array_equal(got, bfs_components(n, edges.tolist()))
+
+    @SETTINGS
+    @given(component_inputs())
+    def test_engine_matches_bfs(self, case):
+        n, u, v = case
+        count, comp = rec._components(n, u, v)
+        want = bfs_components(n, zip(u.tolist(), v.tolist()))
+        assert np.array_equal(comp, want)
+        assert count == len(np.unique(want))
 
 
 class TestFromEdges:
@@ -223,6 +260,59 @@ def sphere_bands(draw):
 
 def pair_keys(n, u, v):
     return np.minimum(u, v).astype(np.int64) * max(n, 1) + np.maximum(u, v)
+
+
+@st.composite
+def circle_bands(draw):
+    """(pos, lo, hi): circle positions on a 1/64 grid (exact in binary, with
+    ties) or seeded floats, and a closed band with radii on the same grid."""
+    n = draw(st.integers(0, 70))
+    if draw(st.booleans()):
+        pos = np.array(draw(st.lists(st.integers(0, 63), min_size=n, max_size=n)), float) / 64
+    else:
+        pos = sample_circle(substream(draw(st.integers(0, 2 ** 32 - 1))), max(n, 1))[:n]
+    radius = st.integers(0, 48).map(lambda k: k / 64)
+    lo, hi = draw(radius), draw(radius)
+    shape = draw(st.sampled_from(["as drawn", "lo = 0", "lo = hi", "hi = 1/2", "hi > 1/2"]))
+    if shape == "lo = 0":
+        lo = 0.0
+    elif shape == "lo = hi":
+        lo = hi
+    elif shape == "hi = 1/2":
+        hi = 0.5
+    elif shape == "hi > 1/2":
+        hi = draw(st.integers(33, 64)) / 64
+    return pos, lo, hi
+
+
+class TestCircleBandPairs:
+    @SETTINGS
+    @given(circle_bands())
+    def test_matches_brute_force(self, case):
+        pos, lo, hi = case
+        n = len(pos)
+        order, indptr, cols = gen._circle_band_rows(pos, lo, hi)
+        # well-formed rank-order rows: ranks sort the positions, and each
+        # row's columns lie after it, in range and ascending
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.all(np.diff(pos[order]) >= 0)
+        assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(cols)
+        assert np.all(np.diff(indptr) >= 0)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.all((cols > rows) & (cols < n))
+        assert np.all(np.diff(rows * max(n, 1) + cols) > 0)
+        # the vertex-id view holds every pair at distance in [lo, hi] once
+        u, v, d = gen._circle_band_pairs(pos, lo, hi)
+        uu, vv = np.triu_indices(n, 1)
+        dist = np.abs(pos[uu] - pos[vv])
+        dist = np.minimum(dist, 1 - dist)
+        band = (dist >= lo) & (dist <= hi)
+        keys = pair_keys(n, u, v)
+        assert np.all(u != v)
+        assert len(np.unique(keys)) == len(keys)
+        order = np.argsort(keys)
+        assert np.array_equal(keys[order], pair_keys(n, uu[band], vv[band]))
+        assert np.array_equal(d[order], dist[band])
 
 
 class TestSpherePairsWithin:

@@ -152,6 +152,11 @@ class TestConnectedComponents:
         comp = rec.connected_components(5, [(3, 4), (1, 2)])
         assert comp.tolist() == [0, 1, 1, 3, 3]
 
+    @pytest.mark.parametrize("edges", [[(0, 5)], [(5, 0)], [(-1, 2)], [(2, -1)]])
+    def test_rejects_ids_out_of_range(self, edges):
+        with pytest.raises(ValueError):
+            rec.connected_components(5, edges)
+
 
 class TestFilterSoundness:
     def test_count_distribution_means(self):
