@@ -41,7 +41,8 @@ def _components(n: int, u, v) -> tuple[int, np.ndarray]:
     no symmetrized copy made; the float64 data is csgraph's own dtype, so
     its validation copies nothing.  The weak components of this directed
     graph are the components of the undirected one.  Repeated pairs and
-    self-pairs are allowed.  Raises ValueError on a vertex id out of range.
+    self-pairs are allowed.  Raises ValueError on a vertex id out of range
+    or on pair arrays of unequal length.
     """
     u = np.asarray(u)
     v = np.asarray(v)
