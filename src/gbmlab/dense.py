@@ -27,9 +27,26 @@ import numpy as np
 
 from .geometry import squared_chord
 from .graph import Graph
-from .recovery import UNASSIGNED, _components, _window_counts
+from .recovery import UNASSIGNED, _components, bulk_common_neighbor_counts
 from .rng import substream
 from .thresholds import DensePlan
+
+
+#: the oracle answers its blocks in row chunks of about this many cells
+_CHUNK_CELLS = 1 << 19
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk of a block `width` cells wide."""
+    return max(1, _CHUNK_CELLS // max(width, 1))
+
+
+def _mirror(out: np.ndarray, i0: int, answers: np.ndarray) -> None:
+    """Write the answers of rows i0 to i0 + k against columns i0 on into the
+    symmetric block `out`: at those rows and, transposed, at those columns."""
+    k = answers.shape[0]
+    out[i0:i0 + k, i0:] = answers
+    out[i0:, i0:i0 + k] = answers.T
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -99,7 +116,9 @@ class EdgeOracle:
         """Probe every pair in rows x cols; returns the (len(rows), len(cols)) answers.
 
         `rows` and `cols` must each be duplicate-free and disjoint from one
-        another, so the block's pairs are distinct.
+        another, so the block's pairs are distinct.  The answers come in row
+        chunks of about 2^19 cells, so `_answer`'s temporaries stay a few MB
+        whatever the block's size.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
@@ -113,7 +132,11 @@ class EdgeOracle:
         seen = self._recorded(np.repeat(old_r, len(old_c)), np.tile(old_c, len(old_r)))
         self.queries += len(rows) * len(cols) - seen
         self._record_block(srows, scols)
-        return self._answer(rows[:, None], cols[None, :])
+        out = np.empty((len(rows), len(cols)), dtype=bool)
+        step = _chunk_rows(len(cols))
+        for i0 in range(0, len(rows), step):
+            out[i0:i0 + step] = self._answer(rows[i0:i0 + step, None], cols[None, :])
+        return out
 
     def query_block(self, sample) -> np.ndarray:
         """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency matrix."""
@@ -131,12 +154,17 @@ class EdgeOracle:
         return adj
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_answer` on every ordered pair of the sample, by row chunks of about 2^19 cells."""
+        """`_answer` on each unordered pair of the sample once, by row chunks of about 2^19 cells.
+
+        Row chunk [i0, i0 + step) is answered against the columns from i0 on
+        only, and written to its rows and, transposed, to its columns, so
+        the block comes out symmetric at half the answers.
+        """
         h = len(sample)
         out = np.empty((h, h), dtype=bool)
-        step = max(1, (1 << 19) // max(h, 1))
+        step = _chunk_rows(h)
         for i0 in range(0, h, step):
-            out[i0:i0 + step] = self._answer(sample[i0:i0 + step, None], sample)
+            _mirror(out, i0, self._answer(sample[i0:i0 + step, None], sample[i0:]))
         return out
 
 
@@ -175,22 +203,25 @@ class GbmEdgeOracle(EdgeOracle):
         return d2 <= np.where(same, self._thr2[0], self._thr2[1])
 
     def _block_answer(self, sample):
-        """`_answer` on every ordered pair of the sample, by row chunks.
+        """`_answer` on each unordered pair of the sample once, by row chunks.
 
-        Each chunk's temporaries hold about 2^19 floats, so the block costs
-        its h x h boolean answer plus a few MB, not h x h floats.
+        As in `EdgeOracle._block_answer`, row chunk [i0, i0 + step) meets
+        only the columns from i0 on and is mirrored.  This is exact: each
+        coordinate's (a - b)^2 equals (b - a)^2 bit for bit, and label
+        equality is symmetric.  Each chunk's temporaries hold about 2^19
+        floats, so the block costs its h x h boolean answer plus a few MB.
         """
         xs = self._x[sample]
         labels = self._labels[sample]
         h = len(sample)
         idx = np.arange(h)
         out = np.empty((h, h), dtype=bool)
-        step = max(1, (1 << 19) // max(h, 1))
+        step = _chunk_rows(h)
         for i0 in range(0, h, step):
-            rows = idx[i0:i0 + step, None]
-            d2 = squared_chord(xs, rows, idx)
-            same = labels[rows] == labels
-            out[i0:i0 + step] = np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1])
+            rows, cols = idx[i0:i0 + step, None], idx[i0:]
+            d2 = squared_chord(xs, rows, cols)
+            same = labels[rows] == labels[cols]
+            _mirror(out, i0, np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1]))
         return out
 
 
@@ -216,38 +247,40 @@ class DenseResult:
 def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Induced edges (u, v) and their common-neighbor counts within the sample.
 
-    `adj` is the symmetric zero-diagonal block of `query_block`.  Its pairs
-    u < v come in row-major order, read with one `np.flatnonzero` per row
-    chunk into arrays sized by half its nonzeros; raises ValueError when its
-    upper triangle does not hold that many.
+    `adj` is the symmetric zero-diagonal block of `query_block`.  One
+    `np.flatnonzero` pass per row chunk reads the block's CSR rows (columns
+    as int32) and its pairs u < v in row-major order, into arrays sized up
+    front; raises ValueError when its upper triangle does not hold half its
+    nonzeros.  The rows arrive sorted, so they make a `Graph` with no
+    `from_edges` sort; the block is dropped, and the counts come from
+    `bulk_common_neighbor_counts`, in reverse Cuthill-McKee order on band
+    windows (W is 67 to 68 words on `dense-oracle` blocks, against 111
+    for full rows).  uu and vv are int32 views of the graph's edge array.
     """
     h = adj.shape[0]
-    nw = -(-h // 64)
-    # full rows in np.packbits order, each followed by nw zero words: the
-    # layout of `Graph.packed_rows` with every window starting at word 0
-    rows = np.zeros((h, 16 * nw), dtype=np.uint8)
-    # rows packed and upper-triangle pairs taken row chunk by row chunk, the
-    # pairs in row-major order into arrays sized up front: the block is
-    # symmetric with a zero diagonal, so it holds each pair twice
-    m = np.count_nonzero(adj) // 2
-    uu = np.empty(m, dtype=np.intp)
-    vv = np.empty(m, dtype=np.intp)
+    indptr = np.zeros(h + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(adj, axis=1), out=indptr[1:])
+    m = int(indptr[-1]) // 2
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    edges = np.empty((m, 2), dtype=np.int32)
     s = 0
     step = max(1, (1 << 20) // max(h, 1))
     for i0 in range(0, h, step):
-        rows[i0:i0 + step, :-(-h // 8)] = np.packbits(adj[i0:i0 + step], axis=1)
         r, c = np.divmod(np.flatnonzero(adj[i0:i0 + step]), h)
+        indices[indptr[i0]:indptr[min(i0 + step, h)]] = c
         upper = c > r + i0
         e = s + np.count_nonzero(upper)
         if e > m:
             raise ValueError("adjacency block is not symmetric with a zero diagonal")
-        uu[s:e] = r[upper] + i0
-        vv[s:e] = c[upper]
+        edges[s:e, 0] = r[upper] + i0
+        edges[s:e, 1] = c[upper]
         s = e
-    r = c = upper = None    # the last chunk's pairs, freed before the kernel
+    adj = r = c = upper = None      # the block and the last chunk's pairs, freed before the kernel
     if s != m:
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
-    return uu, vv, _window_counts(rows.view(np.uint64), np.zeros(h, dtype=np.int64), uu, vv)
+    graph = Graph(n=h, indptr=indptr, indices=indices, edges=edges)
+    uu, vv = edges[:, 0], edges[:, 1]
+    return uu, vv, bulk_common_neighbor_counts(graph, uu, vv)
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
@@ -259,7 +292,8 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     h, g = plan.h, plan.g
 
     sample = np.sort(rng.choice(n, size=h, replace=False))
-    # the h x h block lives only as long as the counting needs it
+    # the h x h block is passed on with no other reference, so
+    # `_subsample_counts` frees it once it has read the rows
     uu, vv, counts = _subsample_counts(oracle.query_block(sample))
     kept = (counts >= plan.E_S) | (counts <= plan.E_D)
 

@@ -11,6 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: `Graph.packed_rows` sets its bits in chunks of whole rows of about this many entries
+_PACK_CHUNK = 1 << 18
+
+
+def _row_chunks(indptr: np.ndarray, size: int):
+    """(i0, i1) ranges of CSR rows, in order, each holding at most `size` entries
+    unless a single row holds more."""
+    n = len(indptr) - 1
+    i0 = 0
+    while i0 < n:
+        i1 = int(np.searchsorted(indptr, indptr[i0] + size, side="right")) - 1
+        i1 = min(n, max(i1, i0 + 1))
+        yield i0, i1
+        i0 = i1
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -83,30 +98,45 @@ class Graph:
         c - 64 s_i of the window in np.packbits order (the first column in
         the most significant bit of byte 0).  When bw is close to n, W = nw
         and every s_i = 0: the full rows.
+
+        The bandwidth and the bits are both taken over chunks of whole CSR
+        rows holding about 2^18 entries, so besides the packing the call
+        holds a few chunk-sized index arrays, none of 2m entries.
         """
         n = self.n
-        rows = np.repeat(pos, self.degrees())
-        cols = pos[self.indices]
-        # both orientations of every edge are present, so the largest signed
-        # difference is the bandwidth
-        bw = int((rows - cols).max(initial=0))
+        pos = np.asarray(pos, dtype=np.int64)
+        chunks = list(_row_chunks(self.indptr, _PACK_CHUNK))
+
+        def entries(i0, i1):
+            """Row and column, in the order pos, of each CSR entry of vertices i0 to i1 - 1."""
+            lo, hi = self.indptr[i0], self.indptr[i1]
+            return (np.repeat(pos[i0:i1], np.diff(self.indptr[i0:i1 + 1])),
+                    pos[self.indices[lo:hi]])
+
+        # each loop drops its chunk's arrays before the next chunk is made
+        bw = 0
+        for i0, i1 in chunks:
+            rows, cols = entries(i0, i1)
+            rows -= cols
+            bw = max(bw, int(np.abs(rows, out=rows).max(initial=0)))
+            del rows, cols
         nw = -(-n // 64)
         w = min(nw, 2 * bw // 64 + 2)
         starts = np.clip((np.arange(n, dtype=np.int64) - bw) // 64, 0, nw - w)
         flat = np.zeros(n * 16 * w, dtype=np.uint8)
-        bits = np.left_shift(np.uint8(1), np.uint8(7) - (cols.astype(np.uint8) & np.uint8(7)))
-        # the byte of column c in row i: 8 (2 W i - s_i) + c // 8, built in place
-        at = rows
-        off = starts[rows]
-        at *= 2 * w
-        at -= off
-        del off
-        at <<= 3
-        cols >>= 3
-        at += cols
-        del rows, cols
-        # neighbors are distinct, so adding distinct bits of one byte is an or
-        np.add.at(flat, at, bits)
+        for i0, i1 in chunks:
+            rows, cols = entries(i0, i1)
+            bits = np.left_shift(np.uint8(1), np.uint8(7) - (cols.astype(np.uint8) & np.uint8(7)))
+            # the byte of column c in row i: 8 (2 W i - s_i) + c // 8, built in place
+            off = starts[rows]
+            rows *= 2 * w
+            rows -= off
+            rows <<= 3
+            cols >>= 3
+            rows += cols
+            # neighbors are distinct, so adding distinct bits of one byte is an or
+            np.add.at(flat, rows, bits)
+            del rows, cols, off, bits
         return flat.view(np.uint64).reshape(n, 2 * w), starts
 
     def validate(self) -> None:

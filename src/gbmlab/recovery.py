@@ -121,7 +121,8 @@ def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) ->
         raise ValueError("a pair u = v has no common-neighbor count")
     adj = sp.csr_matrix((np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
                         shape=(n, n))
-    pos = np.empty(n, dtype=np.int64)
+    # int32 positions keep the pair-sized arrays below at 4 bytes an entry
+    pos = np.empty(n, dtype=np.int32)
     pos[csgraph.reverse_cuthill_mckee(adj, symmetric_mode=True)] = np.arange(n)
     del adj
     rows, starts = graph.packed_rows(pos)

@@ -175,6 +175,20 @@ class TestQueryCross:
         assert np.array_equal(got, want.reshape(len(rows), len(cols)))
         assert a_orc.queries == b_orc.queries == len(rows) * len(cols)
 
+    def test_several_row_chunks_match_one_broadcast(self):
+        # 300 rows x 4096 cols are answered in chunks of 2^19 // 4096 = 128 rows
+        n = 4400
+        emb = sample_sphere(substream(12), n, 2)
+        labels = (np.arange(n) % 2).astype(np.int8)
+        rng = substream(12, 1)
+        perm = rng.permutation(n)
+        rows, cols = perm[:300], perm[300:300 + 4096]
+        orc = dn.GbmEdgeOracle(emb, labels, 0.7, 0.4)
+        got = orc.query_cross(rows, cols)
+        assert np.array_equal(got, orc._answer(rows[:, None], cols[None, :]))
+        assert orc.queries == 300 * 4096
+        assert got.dtype == bool and got.shape == (300, 4096)
+
     @pytest.mark.parametrize("rows, cols", [
         ([1, 2, 1], [5, 6]),        # duplicate row
         ([1, 2], [5, 6, 5]),        # duplicate column
@@ -201,6 +215,18 @@ class TestSubsampleCounts:
         want_u, want_v = np.nonzero(np.triu(adj, 1))
         assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
         a = adj.astype(np.int64)
+        assert np.array_equal(counts, (a @ a)[uu, vv])
+
+    def test_several_row_chunks(self):
+        # h = 1500 is read in row chunks of 2^20 // 1500 = 699 rows
+        h = 1500
+        rng = substream(23)
+        upper = np.triu(rng.random((h, h)) < 0.3, 1)
+        adj = upper | upper.T
+        uu, vv, counts = dn._subsample_counts(adj.copy())
+        want_u, want_v = np.nonzero(upper)
+        assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
+        a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
         assert np.array_equal(counts, (a @ a)[uu, vv])
 
     @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)]])

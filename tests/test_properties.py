@@ -1,5 +1,6 @@
 """Property tests of the graph core, the sphere band primitive and dense query accounting."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -496,6 +497,36 @@ class TestProbeRecord:
             assert oracle.queries == len(probed)
 
 
+class TestSymmetricBlock:
+    """`query_block` answers each unordered pair once, by row chunks, and mirrors it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_block_equals_rule_and_is_symmetric(self, data):
+        # past h = 724 a row chunk (2^19 // h rows) is shorter than the block,
+        # so the larger samples span several chunks and the smaller ones one
+        n = data.draw(st.integers(1100, 1400))
+        rng = substream(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = sample_sphere(rng, n, 2)
+        labels = rng.integers(0, 2, n)
+        r_s, r_d = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))
+        # the rule on every ordered pair, summed coordinate by coordinate
+        d2 = sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1]))
+        rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
+        del d2
+        if data.draw(st.booleans()):
+            oracle = dn.GbmEdgeOracle(x, labels, r_s, r_d)
+        else:
+            oracle = dn.GraphEdgeOracle(from_edges(n, *np.nonzero(np.triu(rule, 1))))
+        h = data.draw(st.one_of(st.integers(0, 60), st.integers(700, n)))
+        sample = rng.choice(n, h, replace=False)
+        got = oracle.query_block(sample)
+        want = rule[np.ix_(sample, sample)] & ~np.eye(h, dtype=bool)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, got.T)
+        assert oracle.queries == h * (h - 1) // 2
+
+
 @st.composite
 def count_graphs(draw):
     """(graph, us, vs): up to three parts (random of any density, ring lattice
@@ -552,6 +583,27 @@ class TestCommonNeighborCounts:
         us, vs = pairs[:, pairs[0] != pairs[1]]
         got = rec.bulk_common_neighbor_counts(g, us, vs)
         assert got.tolist() == [common_neighbor_count(g, a, b) for a, b in zip(us.tolist(), vs.tolist())]
+
+    def test_packed_rows_memory_is_chunk_bounded(self):
+        # a path band with about 1e6 adjacency entries: the bits are set
+        # row chunk by row chunk, so the call holds its packing plus a few
+        # chunk-sized index arrays, not 2m-sized ones (16 MB at int64)
+        n, k = 50_000, 10
+        u = np.repeat(np.arange(n), k)
+        v = u + np.tile(np.arange(1, k + 1), n)
+        keep = v < n
+        g = from_edges(n, u[keep], v[keep])
+        pos = np.arange(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            rows, starts = g.packed_rows(pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 8 << 18        # one int64 array of a chunk's 2^18 entries
+        assert len(g.indices) > 990_000
+        assert peak < rows.nbytes + starts.nbytes + 5 * chunk
+        assert rows.shape == (n, 2 * (2 * k // 64 + 2))
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
     def test_complete_graph_full_width(self, n):
