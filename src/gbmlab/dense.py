@@ -14,7 +14,10 @@ The oracle counts distinct pairs from a record of what it probed, not
 from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
 single pairs as sorted index arrays, plus an n-byte mask of touched
 vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
-the one h x h array, freed once its common-neighbor counts are taken.
+the one h x h array.  It is answered one unordered pair at a time and
+mirrored, read once into CSR rows, and freed before its common-neighbor
+counts are taken by `bulk_common_neighbor_counts`, the package's one
+counting kernel and row layout.  Every other temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -76,7 +79,11 @@ class EdgeOracle:
         self._keys = np.empty(0, dtype=np.int64)
 
     def _answer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Adjacency of each pair (us, vs), for index arrays that broadcast together."""
+        """Adjacency of each pair (us, vs), for index arrays that broadcast together.
+
+        Must be symmetric in (us, vs): `_block_answer` asks each unordered
+        pair once and mirrors the answer.
+        """
         raise NotImplementedError
 
     def _recorded(self, us: np.ndarray, vs: np.ndarray) -> int:

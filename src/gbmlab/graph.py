@@ -104,6 +104,7 @@ class Graph:
         holds a few chunk-sized index arrays, none of 2m entries.
         """
         n = self.n
+        # int64 whatever the caller's order dtype: byte offsets reach 16 n W
         pos = np.asarray(pos, dtype=np.int64)
         chunks = list(_row_chunks(self.indptr, _PACK_CHUNK))
 
