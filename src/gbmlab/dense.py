@@ -30,7 +30,8 @@ import numpy as np
 
 from .geometry import squared_chord
 from .graph import Graph
-from .recovery import UNASSIGNED, _components, bulk_common_neighbor_counts
+from .recovery import (UNASSIGNED, _components, _keep, _label_two_largest,
+                       bulk_common_neighbor_counts)
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -302,13 +303,11 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     # the h x h block is passed on with no other reference, so
     # `_subsample_counts` frees it once it has read the rows
     uu, vv, counts = _subsample_counts(oracle.query_block(sample))
-    kept = (counts >= plan.E_S) | (counts <= plan.E_D)
+    kept = _keep(counts, plan.E_S, plan.E_D)
 
-    _, comp = _components(h, uu[kept], vv[kept])
-    ids, sizes = np.unique(comp, return_counts=True)
-    order = np.lexsort((ids, -sizes))
-    c1_local = np.nonzero(comp == ids[order[0]])[0] if len(ids) >= 1 else np.empty(0, np.int64)
-    c2_local = np.nonzero(comp == ids[order[1]])[0] if len(ids) >= 2 else np.empty(0, np.int64)
+    local, _ = _label_two_largest(h, _components(h, uu[kept], vv[kept])[1])
+    c1_local = np.flatnonzero(local == 0)
+    c2_local = np.flatnonzero(local == 1)
     phase1_sizes = (int(len(c1_local)), int(len(c2_local)))
     balance_ok = phase1_balance_check(h, phase1_sizes[0], h - phase1_sizes[0]) if h else None
 

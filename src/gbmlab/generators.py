@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import sample_circle, sample_sphere, squared_chord
+from .geometry import geodesic_distance, sample_circle, sample_sphere, squared_chord
 from .graph import Graph, from_edges
 from .rng import substream
 
@@ -116,9 +116,7 @@ def _circle_band_pairs(pos: np.ndarray, lo: float, hi: float):
     order, indptr, cols = _circle_band_rows(pos, lo, hi)
     u = np.repeat(order, np.diff(indptr))
     v = order[cols]
-    d = np.abs(pos[u] - pos[v])
-    d = np.minimum(d, 1.0 - d)
-    return u, v, d
+    return u, v, geodesic_distance(pos[u], pos[v])
 
 
 def gen_rag1(n: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray]:
@@ -207,8 +205,7 @@ def recheck_instance(inst: GbmInstance, non_edge_sample: int = 0, seed: int = 0)
     def within_rule(u, v):
         thr = np.where(labels[u] == labels[v], r_s, r_d)
         if circle:
-            d = np.abs(emb[u] - emb[v])
-            return np.minimum(d, 1.0 - d) <= thr
+            return geodesic_distance(emb[u], emb[v]) <= thr
         return squared_chord(emb, u, v) <= thr * thr
 
     if g.m and not np.all(within_rule(g.edges[:, 0], g.edges[:, 1])):

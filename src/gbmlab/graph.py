@@ -44,13 +44,8 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
-
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized ``has_edge``: whether each pair (us[i], vs[i]) is an edge.
+        """Whether each pair (us[i], vs[i]) is an edge.
 
         A branch-free binary search for vs[i] inside the sorted CSR slice of
         us[i], all pairs stepping together by the same powers of two; its
@@ -167,7 +162,7 @@ class Graph:
             raise ValueError("edge list inconsistent with adjacency")
 
 
-def from_edges(n: int, u, v, validate: bool = False) -> Graph:
+def from_edges(n: int, u, v) -> Graph:
     """Build a Graph from parallel endpoint arrays (any orientation).
 
     Raises ValueError on a self-loop or a pair given twice.  Edges are
@@ -198,10 +193,7 @@ def from_edges(n: int, u, v, validate: bool = False) -> Graph:
     both = np.concatenate([keys, hi * n + lo])
     both.sort()
     indices = np.remainder(both, n, out=both).astype(np.int32)
-    g = Graph(n=int(n), indptr=indptr, indices=indices, edges=edges)
-    if validate:
-        g.validate()
-    return g
+    return Graph(n=int(n), indptr=indptr, indices=indices, edges=edges)
 
 
 def empty_graph(n: int) -> Graph:

@@ -1,10 +1,13 @@
 """Triangle-count community recovery.
 
 The pipeline scores every edge by its common-neighbor count, keeps edges
-whose count falls outside the cross-cluster window (high keep: count >=
-E_S n on the circle, where E_S is a rate, and count >= E_S on the sphere;
-low keep: the same with <= E_D, when enabled), and reads the two largest
-connected components of the surviving graph as the recovered clusters.
+whose count falls outside the cross-cluster window by the one keep rule,
+`_keep` (count >= e_s, or count <= e_d when the low branch is enabled;
+e_s = E_S n on the circle, where E_S is a rate, and e_s = E_S on the
+sphere and in dense phase 1), and reads the two largest connected
+components of the surviving graph as the recovered clusters, chosen by
+`_label_two_largest`, which dense phase 1 and the location-aware variant
+use too.
 A location-aware variant recovers the bipartition from vertex positions
 by two-coloring distance-band constraints.
 
@@ -23,8 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .graph import Graph
-from .thresholds import (ThresholdSet1D, finite_size_exponent, thresholds_1d,
-                         thresholds_hd)
+from .thresholds import finite_size_exponent, thresholds_1d, thresholds_hd
 
 UNASSIGNED = -1
 
@@ -133,11 +135,11 @@ def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) ->
     return _window_counts(rows, starts, lo, hi)
 
 
-def _keep_1d(counts: np.ndarray, n: int, thresholds: ThresholdSet1D) -> np.ndarray:
-    """The keep rule of `recover_gbm1`: count >= E_S n, or count <= E_D n when E_D is set."""
-    keep = counts >= thresholds.E_S * n
-    if thresholds.E_D is not None:
-        keep |= counts <= thresholds.E_D * n
+def _keep(counts: np.ndarray, e_s: float, e_d: Optional[float]) -> np.ndarray:
+    """The filter's keep rule: count >= e_s, or count <= e_d when e_d is not None."""
+    keep = counts >= e_s
+    if e_d is not None:
+        keep |= counts <= e_d
     return keep
 
 
@@ -165,17 +167,17 @@ def _label_two_largest(n: int, comp: np.ndarray) -> tuple[np.ndarray, dict]:
     return labels, info
 
 
-def _filter_and_label(graph: Graph, keep_counts, thresholds,
+def _filter_and_label(graph: Graph, e_s: float, e_d: Optional[float], thresholds,
                       keep_decisions: bool) -> RecoveryResult:
-    """keep_counts maps an int64 count array to a boolean keep mask."""
+    """Count every edge, keep it by `_keep(counts, e_s, e_d)`, label the two largest components.
+
+    e_s and e_d are absolute counts; `thresholds` is only carried into the
+    result.
+    """
     n = graph.n
     edges = graph.edges
-    if graph.m:
-        counts = bulk_common_neighbor_counts(graph, edges[:, 0], edges[:, 1])
-        kept_mask = keep_counts(counts)
-    else:
-        counts = np.empty(0, np.int64)
-        kept_mask = np.empty(0, bool)
+    counts = bulk_common_neighbor_counts(graph, edges[:, 0], edges[:, 1])
+    kept_mask = _keep(counts, e_s, e_d)
     comp = connected_components(n, edges[kept_mask])
     stats = {"edges_total": graph.m,
              "edges_removed": int(graph.m - kept_mask.sum())}
@@ -202,7 +204,8 @@ def recover_gbm1(graph: Graph, a: float, b: float, *,
     if divergence_target is None:
         divergence_target = finite_size_exponent(n)
     thr = thresholds_1d(n, a, b, divergence_target)
-    return _filter_and_label(graph, lambda counts: _keep_1d(counts, n, thr), thr, keep_decisions)
+    e_d = thr.E_D * n if thr.E_D is not None else None
+    return _filter_and_label(graph, thr.E_S * n, e_d, thr, keep_decisions)
 
 
 def recover_gbm_hd(graph: Graph, t: int, r_s: float, r_d: float, *,
@@ -210,11 +213,7 @@ def recover_gbm_hd(graph: Graph, t: int, r_s: float, r_d: float, *,
                      keep_decisions: bool = False) -> RecoveryResult:
     """Same pipeline with absolute-count thresholds for sphere instances."""
     thr = thresholds_hd(graph.n, t, r_s, r_d, c_s, c_d)
-
-    def keep_counts(counts):
-        return (counts >= thr.E_S) | (counts <= thr.E_D)
-
-    return _filter_and_label(graph, keep_counts, thr, keep_decisions)
+    return _filter_and_label(graph, thr.E_S, thr.E_D, thr, keep_decisions)
 
 
 @dataclass
@@ -277,7 +276,7 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
         return LocationRecovery(labels=None, status="conflict",
                                 components_count=components_count,
                                 constrained_pairs=pairs)
-    in_big = comp == np.argmax(np.bincount(comp, minlength=n))
+    in_big = _label_two_largest(n, comp)[0] == 0
     labels = np.full(n, UNASSIGNED, dtype=np.int8)
     labels[in_big] = (cid[:n][in_big] != comp[in_big]).astype(np.int8)
     return LocationRecovery(labels=labels, status="ok",

@@ -8,8 +8,11 @@ same-cluster edges the filter provably keeps.  The same module carries
 the high-dimensional (absolute-count) thresholds and the two-phase plan
 for the dense regime.
 
-All logarithms are natural.  All solvers are pure bisections to a 1e-9
-tolerance and return bit-identical outputs for identical inputs.
+All logarithms are natural.  Every solver is a pure bisection through
+one loop, `_bisect`: f1, f2, theta1 and theta2 to BISECT_TOL = 1e-9, and
+`min_a_for_b` to its own tol, 1e-3 by default.  A bracket with no known
+upper end is first doubled by `_grow`.  Identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,29 +43,28 @@ def finite_size_exponent(n: int) -> float:
     return 1.0 + 2.0 * math.log(ln) / ln
 
 
-def _min_root_increasing(obj, lo: float, hi: float, target: float,
-                         tol: float = BISECT_TOL, expand: bool = False) -> float:
-    """Least x with obj(x) > target, for strictly increasing obj.
+def _bisect(pred, lo: float, hi: float, tol: float = BISECT_TOL) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most tol wide, for pred false at lo and true at hi.
 
-    Returns x such that obj(x - tol) <= target < obj(x + tol).  With
-    expand=True the upper bracket doubles until it satisfies the target.
+    pred must switch once from false to true on the bracket.  The midpoint
+    replaces hi where pred holds and lo elsewhere.
     """
-    if expand:
-        tries = 0
-        while obj(hi) <= target:
-            hi *= 2.0
-            tries += 1
-            if tries > 200:
-                raise RegimeError("no root found while expanding bracket")
-    elif obj(hi) <= target:
-        raise RegimeError("objective never exceeds target on bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if obj(mid) > target:
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
+
+
+def _grow(pred, hi: float, tries: int) -> float:
+    """The first of hi, 2 hi, 4 hi, ... where pred holds; RegimeError after `tries` doublings."""
+    for _ in range(tries + 1):
+        if pred(hi):
+            return hi
+        hi *= 2.0
+    raise RegimeError("no root found while doubling the bracket")
 
 
 def solve_f1(b: float, target: float = 1.0) -> float:
@@ -70,10 +72,10 @@ def solve_f1(b: float, target: float = 1.0) -> float:
     if b <= 0:
         raise ValueError("b must be positive")
 
-    def obj(f):
-        return (2 * b + f) * math.log((2 * b + f) / (2 * b)) - f
+    def pred(f):
+        return (2 * b + f) * math.log((2 * b + f) / (2 * b)) - f > target
 
-    return _min_root_increasing(obj, 0.0, max(1.0, 2 * b), target, expand=True)
+    return _bisect(pred, 0.0, _grow(pred, max(1.0, 2 * b), 200))[1]
 
 
 def solve_f2(b: float, target: float = 1.0) -> Optional[float]:
@@ -88,11 +90,12 @@ def solve_f2(b: float, target: float = 1.0) -> Optional[float]:
     if 2 * b <= target:
         return None
 
-    def obj(f):
+    def pred(f):
         x = 2 * b - f
-        return (x * math.log(x / (2 * b)) if x > 0 else 0.0) + f
+        return (x * math.log(x / (2 * b)) if x > 0 else 0.0) + f > target
 
-    return _min_root_increasing(obj, 0.0, 2 * b, target)
+    # the objective reaches 2b > target at f = 2b
+    return _bisect(pred, 0.0, 2 * b)[1]
 
 
 def _phi(s: float, y: float) -> float:
@@ -113,7 +116,11 @@ def solve_theta1(a: float, b: float, f1: float, target: float = 1.0) -> float:
     s1 = 4 * b + 2 * f1
     if 2 * a <= s1:
         return 0.0
-    y1 = _min_root_increasing(lambda y: _phi(s1, y), s1, max(2 * s1, s1 + 1.0), target, expand=True)
+
+    def pred(y):
+        return _phi(s1, y) > target
+
+    y1 = _bisect(pred, s1, _grow(pred, max(2 * s1, s1 + 1.0), 200))[1]
     return max(0.0, 2 * a - y1)
 
 
@@ -134,16 +141,9 @@ def solve_theta2(a: float, b: float, f2: Optional[float], target: float = 1.0) -
     if s2 <= 0:
         return a
     # phi decreases in y on (0, s2), from +inf down to phi(s2) = 0: the
-    # condition phi(y) > target holds exactly for y below the root y2
-    lo, hi = 0.0, s2
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        val = _phi(s2, mid) if mid > 0 else math.inf
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-    y2 = lo
+    # condition phi(y) > target holds exactly for y below the root y2.
+    # Nothing is checked at s2, so a target below 0 gives y2 close to s2.
+    y2 = _bisect(lambda y: not _phi(s2, y) > target, 0.0, s2)[0]
     theta2 = max(2 * a - y2, 2 * b, 2 * a - 4 * b + 2 * f2)
     return theta2 if theta2 <= a else a
 
@@ -218,23 +218,15 @@ def min_a_for_b(b: float, tol: float = 1e-3, target: float = 1.0) -> float:
     """Least a enabling provable recovery at cluster rate b, to tolerance tol."""
     if b <= 0:
         raise ValueError("b must be positive")
+
+    def pred(a):
+        return recovery_condition(a, b, target)
+
+    hi = _grow(pred, max(4.0, 4 * b), 64)
     lo = max(2 * b, tol)
-    hi = max(4.0, 4 * b)
-    tries = 0
-    while not recovery_condition(hi, b, target):
-        hi *= 2.0
-        tries += 1
-        if tries > 64:
-            raise RegimeError("recovery condition unreachable")
-    if recovery_condition(lo, b, target):
+    if pred(lo):
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if recovery_condition(mid, b, target):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect(pred, lo, hi, tol)[1]
 
 
 TABLE_B_VALUES = (0.01, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)

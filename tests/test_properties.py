@@ -230,6 +230,44 @@ class TestRecoverWithLocations:
                 assert (res.labels[a] == res.labels[b]) == same
 
 
+@st.composite
+def component_ids(draw):
+    """(n, comp): a partition of n vertices, each vertex named by its part's smallest member."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["drawn", "equal sizes", "one", "singletons"]))
+    if shape == "drawn":
+        part = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    elif shape == "equal sizes":
+        k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        part = np.array(draw(st.permutations(list(range(k)) * (n // k))))
+    elif shape == "one":
+        part = np.zeros(n, dtype=np.int64)
+    else:
+        part = np.arange(n)
+    first = {}
+    comp = np.array([first.setdefault(p, i) for i, p in enumerate(part.tolist())], dtype=np.int64)
+    return n, comp
+
+
+class TestLabelTwoLargest:
+    @SETTINGS
+    @given(component_ids())
+    def test_matches_brute_force_order(self, inst):
+        n, comp = inst
+        parts = {}
+        for i, c in enumerate(comp.tolist()):
+            parts.setdefault(c, []).append(i)
+        ranked = sorted(parts.values(), key=lambda members: (-len(members), min(members)))
+        expect = np.full(n, rec.UNASSIGNED, dtype=np.int8)
+        for label, members in enumerate(ranked[:2]):
+            expect[members] = label
+        labels, info = rec._label_two_largest(n, comp)
+        assert labels.dtype == np.int8
+        assert np.array_equal(labels, expect)
+        assert info == {"components_count": len(parts),
+                        "largest_sizes": [len(m) for m in ranked[:2]]}
+
+
 def brute_force_band(x, lo, hi):
     """All pairs i < j with lo^2 <= |x_i - x_j|^2 <= hi^2, sorted, with d2."""
     uu, vv = np.triu_indices(len(x), 1)

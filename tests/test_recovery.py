@@ -99,7 +99,8 @@ class TestProcessEdge:
         self.ts = th.thresholds_1d(5000, 13.0, 1.0)
 
     def keep(self, count, ts):
-        return bool(rec._keep_1d(np.array([count]), 5000, ts)[0])
+        e_d = ts.E_D * 5000 if ts.E_D is not None else None
+        return bool(rec._keep(np.array([count]), ts.E_S * 5000, e_d)[0])
 
     def test_exactly_at_upper_threshold_kept(self):
         count = int(round(self.ts.E_S * 5000))
@@ -332,6 +333,27 @@ class TestRecoverWithLocations:
         res = rec.recover_with_locations(inst.graph, inst.embeddings,
                                          a * ln / n, b * ln / n)
         assert res.components_count > 2
+
+    def test_equal_components_label_the_one_holding_vertex_0(self):
+        # two far groups of 4 points, each one constraint component of size 4
+        offsets = np.array([0.0, 0.01, 0.02, 0.03])
+        r_s, r_d = 0.05, 0.005
+        for seed in range(6):
+            rng = substream(seed, 0x7E)
+            perm = rng.permutation(8)
+            x = np.empty(8)
+            x[perm[:4]] = 0.1 + offsets
+            x[perm[4:]] = 0.6 + offsets
+            truth = rng.integers(0, 2, 8)
+            uu, vv = np.triu_indices(8, 1)
+            d = np.abs(x[uu] - x[vv])
+            edge = (truth[uu] == truth[vv]) & (np.minimum(d, 1 - d) <= r_s)
+            res = rec.recover_with_locations(from_edges(8, uu[edge], vv[edge]), x, r_s, r_d)
+            assert res.status == "ok" and res.components_count == 2
+            mine = np.sort(perm[:4] if 0 in perm[:4] else perm[4:])
+            other = np.setdiff1d(np.arange(8), mine)
+            assert np.array_equal(res.labels[mine], (truth[mine] != truth[0]).astype(np.int8))
+            assert (res.labels[other] == rec.UNASSIGNED).all()
 
     def test_rejects_sphere_embeddings(self):
         inst = gen.gen_gbm_t(100, 2, 0.5, 0.2, seed=1)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gbmlab import thresholds as th
 
@@ -120,6 +121,76 @@ class TestTheta2:
         for a, b in ((9.0, 1.0), (15.0, 3.0), (4.0, 0.8)):
             f2 = th.solve_f2(b)
             assert th.solve_theta2(a, b, f2) >= 2 * b - 1e-12
+
+
+class TestBisection:
+    """`_bisect` returns a bracket at most tol wide, pred false at lo and true at hi;
+    `_grow` doubles at most a fixed number of times."""
+
+    def test_bracket_contract(self):
+        for c in (0.0, 1e-12, 0.3, 1.0 / 3.0, 0.999999, 1.0):
+            lo, hi = th._bisect(lambda x: x >= c, -1.0, 2.0)
+            assert hi - lo <= th.BISECT_TOL
+            assert lo < c <= hi
+
+    def test_f1_f2_are_the_true_end(self):
+        tol = th.BISECT_TOL
+        for target in (0.5, 1.0, 1.3):
+            for b in (0.01, 1.0, 3.0):
+                def obj1(f):
+                    return (2 * b + f) * math.log((2 * b + f) / (2 * b)) - f
+
+                def obj2(f):
+                    return (2 * b - f) * math.log((2 * b - f) / (2 * b)) + f
+
+                f1 = th.solve_f1(b, target)
+                assert obj1(f1 - 2 * tol) <= target < obj1(f1)
+                f2 = th.solve_f2(b, target)
+                if f2 is not None:
+                    assert obj2(f2 - 2 * tol) <= target < obj2(f2)
+
+    def test_theta_roots_are_the_bracket_ends(self):
+        # theta1 = 2a - y1 and theta2 = 2a - y2 are exact subtractions when
+        # a <= y <= 2a (Sterbenz), so y is read back bit for bit; brentq
+        # places a in that range, theta1 takes hi and theta2 takes lo
+        tol = th.BISECT_TOL
+        checked = 0
+        for target in (1e-3, 1e-2, 0.05, 1.0):
+            for b in (0.3, 1.0, 3.0):
+                f1 = th.solve_f1(b, target)
+                s1 = 4 * b + 2 * f1
+                a = 0.75 * brentq(lambda y: th._phi(s1, y) - target, s1, 4 * (s1 + target + 1))
+                y1 = 2 * a - th.solve_theta1(a, b, f1, target)
+                assert th._phi(s1, y1 - 2 * tol) <= target < th._phi(s1, y1)
+                f2 = th.solve_f2(b, target)
+                if f2 is None:
+                    continue
+                s2 = 4 * b - 2 * f2
+                y2 = brentq(lambda y: th._phi(s2, y) - target, 1e-300, s2)
+                if y2 <= 2.1 * b:
+                    continue        # theta2 is 2b or a, whatever y2 is
+                a = 0.5 * (b + 1.5 * y2)
+                y2 = 2 * a - th.solve_theta2(a, b, f2, target)
+                assert th._phi(s2, y2 + 2 * tol) <= target < th._phi(s2, y2)
+                checked += 1
+        assert checked >= 4
+
+    def test_min_a_returns_the_true_end(self):
+        for b in (0.01, 1.0, 3.0):
+            a = th.min_a_for_b(b)
+            assert th.recovery_condition(a, b)
+            assert not th.recovery_condition(a - 2e-3, b)
+
+    def test_growth_is_capped(self):
+        # 200 doublings of the bracket reach about 3e60, where the objective is near 5e62
+        with pytest.raises(th.RegimeError):
+            th.solve_f1(1.0, target=1e300)
+
+    def test_negative_target_still_gives_thresholds(self):
+        # phi >= 0 exceeds any negative target: theta2's bisection runs to s2
+        # and the long-distance band is absent, with no check at s2
+        ts = th.thresholds_1d(5000, 13.0, 1.0, -0.5)
+        assert ts.theta2 == 13.0 and ts.E_D is not None
 
 
 class TestThresholds1D:
