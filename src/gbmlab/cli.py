@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -28,6 +29,28 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return k
 
 
 def _out_stream(path: str):
@@ -80,10 +103,10 @@ def _resolve_radii(args, n: int, t: int) -> tuple[float, float]:
 
 
 def _add_radii_flags(p: _Parser) -> None:
-    p.add_argument("--a", type=float, default=None, help="scaled outer/same-cluster radius")
-    p.add_argument("--b", type=float, default=None, help="scaled inner/cross-cluster radius")
-    p.add_argument("--rs", type=float, default=None, help="raw outer/same-cluster radius")
-    p.add_argument("--rd", type=float, default=None, help="raw inner/cross-cluster radius")
+    p.add_argument("--a", type=_finite, default=None, help="scaled outer/same-cluster radius")
+    p.add_argument("--b", type=_finite, default=None, help="scaled inner/cross-cluster radius")
+    p.add_argument("--rs", type=_finite, default=None, help="raw outer/same-cluster radius")
+    p.add_argument("--rd", type=_finite, default=None, help="raw inner/cross-cluster radius")
 
 
 def build_parser() -> _Parser:
@@ -92,17 +115,17 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("gen", help="generate a block-model / annulus-graph instance")
     g.add_argument("--family", choices=["gbm", "rag"], default="gbm")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--t", type=int, default=1)
+    g.add_argument("--n", type=_positive, required=True)
+    g.add_argument("--t", type=_positive, default=1)
     _add_radii_flags(g)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True, help="output path prefix")
 
     th = sub.add_parser("thresholds", help="print the 1-D threshold set as JSON")
-    th.add_argument("--n", type=int, required=True)
-    th.add_argument("--a", type=float, required=True)
-    th.add_argument("--b", type=float, required=True)
-    th.add_argument("--divergence-target", type=float, default=1.0)
+    th.add_argument("--n", type=_positive, required=True)
+    th.add_argument("--a", type=_finite, required=True)
+    th.add_argument("--b", type=_finite, required=True)
+    th.add_argument("--divergence-target", type=_finite, default=1.0)
     th.add_argument("--out", default="-")
 
     tb = sub.add_parser("table1", help="minimum recoverable a per b")
@@ -111,19 +134,19 @@ def build_parser() -> _Parser:
 
     rc = sub.add_parser("recover", help="triangle-count recovery on a 1-D instance")
     rc.add_argument("--in", dest="inp", required=True, help="graph file (from gen)")
-    rc.add_argument("--a", type=float, required=True)
-    rc.add_argument("--b", type=float, required=True)
-    rc.add_argument("--divergence-target", type=float, default=None,
+    rc.add_argument("--a", type=_finite, required=True)
+    rc.add_argument("--b", type=_finite, required=True)
+    rc.add_argument("--divergence-target", type=_finite, default=None,
                     help="default: finite-size exponent 1 + 2 loglog n / log n")
     rc.add_argument("--decisions-csv", default=None, help="write per-edge u,v,count,kept")
     rc.add_argument("--out", default="-")
 
     rh = sub.add_parser("recover-hd", help="recovery on a sphere instance")
     rh.add_argument("--in", dest="inp", required=True)
-    rh.add_argument("--t", type=int, required=True)
+    rh.add_argument("--t", type=_positive, required=True)
     _add_radii_flags(rh)
-    rh.add_argument("--cs", type=float, default=1.0)
-    rh.add_argument("--cd", type=float, default=1.0)
+    rh.add_argument("--cs", type=_finite, default=1.0)
+    rh.add_argument("--cd", type=_finite, default=1.0)
     rh.add_argument("--out", default="-")
 
     rl = sub.add_parser("recover-loc", help="location-aware recovery from embeddings")
@@ -133,23 +156,23 @@ def build_parser() -> _Parser:
     rl.add_argument("--out", default="-")
 
     dn = sub.add_parser("dense", help="two-phase recovery over an edge-probe oracle")
-    dn.add_argument("--n", type=int, required=True)
-    dn.add_argument("--t", type=int, default=2)
+    dn.add_argument("--n", type=_positive, required=True)
+    dn.add_argument("--t", type=_positive, default=2)
     _add_radii_flags(dn)
     dn.add_argument("--seed", type=int, default=0)
-    dn.add_argument("--theta-s", type=float, default=0.93)
-    dn.add_argument("--theta-d", type=float, default=1.0)
+    dn.add_argument("--theta-s", type=_finite, default=0.93)
+    dn.add_argument("--theta-d", type=_finite, default=1.0)
     dn.add_argument("--out", default="-")
 
     ph = sub.add_parser("phase", help="Monte-Carlo connectivity sweep, CSV per grid point")
-    ph.add_argument("--n", type=int, required=True)
+    ph.add_argument("--n", type=_positive, required=True)
     ph.add_argument("--points", required=True,
                     help="comma-separated a:b pairs, e.g. 1.6:1.0,0.9:0.0")
     ph.add_argument("--trials", type=int, default=10)
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--family", choices=["rag1", "rag_t", "interval_union"], default="rag1")
-    ph.add_argument("--t", type=int, default=1)
-    ph.add_argument("--c", type=float, default=0.0,
+    ph.add_argument("--t", type=_positive, default=1)
+    ph.add_argument("--c", type=_finite, default=0.0,
                     help="short-band endpoint for the interval_union family")
     ph.add_argument("--jobs", type=int, default=1)
     ph.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -177,15 +177,14 @@ class EdgeOracle:
 
 
 class GraphEdgeOracle(EdgeOracle):
-    """Oracle backed by a materialized graph; answers by `Graph.has_edges`."""
+    """Oracle backed by a materialized graph; answers by bit tests in its `Graph.layout`."""
 
     def __init__(self, graph: Graph):
         super().__init__(graph.n)
         self.graph = graph
 
     def _answer(self, us, vs):
-        us, vs = np.broadcast_arrays(us, vs)
-        return self.graph.has_edges(us.ravel(), vs.ravel()).reshape(us.shape)
+        return self.graph.has_edges(us, vs)
 
 
 class GbmEdgeOracle(EdgeOracle):
@@ -260,10 +259,9 @@ def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     as int32) and its pairs u < v in row-major order, into arrays sized up
     front; raises ValueError when its upper triangle does not hold half its
     nonzeros.  The rows arrive sorted, so they make a `Graph` with no
-    `from_edges` sort; the block is dropped, and the counts come from
-    `bulk_common_neighbor_counts`, in reverse Cuthill-McKee order on band
-    windows (W is 67 to 68 words on `dense-oracle` blocks, against 111
-    for full rows).  uu and vv are int32 views of the graph's edge array.
+    `from_edges` sort; the block is dropped, and `bulk_common_neighbor_counts`
+    counts on the graph's `layout` (W is 67 to 68 words on `dense-oracle`
+    blocks, 111 for full rows).  uu and vv are views of its edge array.
     """
     h = adj.shape[0]
     indptr = np.zeros(h + 1, dtype=np.int64)

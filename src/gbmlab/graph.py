@@ -1,15 +1,17 @@
 """Immutable simple undirected graph with sorted adjacency.
 
-Stored as a CSR-style (indptr, indices) pair plus the unique edge list
-with u < v.  Neighbor lists are strictly sorted, which makes neighbor
-intersection a linear merge and keeps file output canonical.
+Stored as a CSR-style (indptr, indices) pair with strictly sorted rows
+plus the unique edge list with u < v, which keeps file output canonical.
+`Graph.layout` packs the rows once for counting and membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 #: `Graph.packed_rows` sets its bits in chunks of whole rows of about this many entries
 _PACK_CHUNK = 1 << 18
@@ -45,32 +47,23 @@ class Graph:
         return np.diff(self.indptr)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Whether each pair (us[i], vs[i]) is an edge.
+        """Whether each pair (us, vs) is an edge, for index arrays that broadcast together.
 
-        A branch-free binary search for vs[i] inside the sorted CSR slice of
-        us[i], all pairs stepping together by the same powers of two; its
-        buffers are pair-sized.
+        A bit test in `layout`; raises ValueError on a vertex id out of range.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        indices, last = self.indices, len(self.indices) - 1
-        if last < 0:
-            return np.zeros(np.broadcast(us, vs).shape, dtype=bool)
-        pos = self.indptr[us]      # every neighbor of us[i] before pos[i] is < vs[i]
-        end = self.indptr[us + 1]
-        probe = np.empty_like(pos)
-        below = np.empty(pos.shape, dtype=bool)
-        step = 1 << int(self.degrees().max()).bit_length()
-        while step > 1:
-            step >>= 1
-            # advance by step where the entry at pos + step - 1 is in the slice and < v
-            np.add(pos, step - 1, out=probe)
-            np.less(probe, end, out=below)
-            np.minimum(probe, last, out=probe)
-            below &= indices[probe] < vs
-            np.add(pos, step, out=probe)
-            np.copyto(pos, probe, where=below)
-        return (pos < end) & (indices[np.minimum(pos, last)] == vs)
+        us, vs = np.asarray(us), np.asarray(vs)
+        if not us.size or not vs.size:
+            return np.zeros(np.broadcast_shapes(us.shape, vs.shape), dtype=bool)
+        if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n:
+            raise ValueError("vertex id out of range")
+        pos, rows, starts = self.layout
+        w = rows.shape[1] // 2
+        pu = pos[us]
+        # bit pos[v] - 64 s of row pos[u]'s window at word s; outside it, bit 64 W of the padding
+        off = pos[vs] - 64 * starts[pu]
+        off[(off < 0) | (off >= 64 * w)] = 64 * w
+        off += pu * np.int64(128 * w)
+        return (rows.view(np.uint8).ravel()[off >> 3] << (off & 7).astype(np.uint8)) >= 128
 
     def adjacency_bool(self) -> np.ndarray:
         """Dense (n, n) boolean adjacency. Intended for n up to ~2e4."""
@@ -88,11 +81,12 @@ class Graph:
         nw = ceil(n / 64), W = min(nw, floor(2 bw / 64) + 2), and the window
         of row i starts at word s_i = clip(floor((i - bw) / 64), 0, nw - W),
         which holds every column within bw of i.  Returns the starts s and
-        an (n, 2W) array: row i's window, then W zero words that let
-        `recovery._window_counts` shift it.  Column c of row i is bit
-        c - 64 s_i of the window in np.packbits order (the first column in
-        the most significant bit of byte 0).  When bw is close to n, W = nw
-        and every s_i = 0: the full rows.
+        an (n, 2W) array: row i's window, then W zero words, which
+        `recovery._window_counts` shifts in and `has_edges` reads for a
+        column outside the window.  Column c of row i is bit c - 64 s_i of
+        the window in np.packbits order (the first column in the most
+        significant bit of byte 0).  When bw is close to n, W = nw and every
+        s_i = 0: the full rows.
 
         The bandwidth and the bits are both taken over chunks of whole CSR
         rows holding about 2^18 entries, so besides the packing the call
@@ -134,6 +128,22 @@ class Graph:
             np.add.at(flat, rows, bits)
             del rows, cols, off, bits
         return flat.view(np.uint64).reshape(n, 2 * w), starts
+
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(pos, *packed_rows(pos)) with pos[u] the place of u in reverse Cuthill-McKee order.
+
+        The graph's one adjacency index, shared by counting and `has_edges`,
+        which must not write to it: 16 n W bytes, built on first use (about
+        5 ms at 1.1e5 edges) and kept.
+        """
+        order = csgraph.reverse_cuthill_mckee(csr_matrix(
+            (np.ones(len(self.indices), dtype=np.int8), self.indices, self.indptr),
+            shape=(self.n, self.n)), symmetric_mode=True)
+        # int32 positions keep the readers' pair-sized arrays at 4 bytes an entry
+        pos = np.empty(self.n, dtype=np.int32)
+        pos[order] = np.arange(self.n)
+        return (pos, *self.packed_rows(pos))
 
     def validate(self) -> None:
         """Check simplicity, symmetry and sortedness; raises on violation."""

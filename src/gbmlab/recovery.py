@@ -102,13 +102,10 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
 def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Common-neighbor counts of the pairs (us[i], vs[i]) by bit-packed row intersection.
 
-    The vertices are first put in reverse Cuthill-McKee order, which on
-    geometric graphs gives a small bandwidth bw, and each row is packed in
-    a window of W = min(ceil(n / 64), floor(2 bw / 64) + 2) words
-    (`Graph.packed_rows`), 16 n W bytes with the kernel's zero padding:
-    W is 11 on the n = 2e4 circle instances, against 313 words for full
-    rows.  Counts do not depend on the order.  Raises ValueError on a vertex id out of range or a pair
-    u = v.
+    The rows are the graph's `layout`: reverse Cuthill-McKee order, each row
+    in a window of W words (`Graph.packed_rows`), 11 on the n = 2e4 circle
+    instances against 313 for full rows.  Counts do not depend on the order.
+    Raises ValueError on a vertex id out of range or a pair u = v.
     """
     n = graph.n
     us = np.asarray(us)
@@ -121,13 +118,7 @@ def bulk_common_neighbor_counts(graph: Graph, us: np.ndarray, vs: np.ndarray) ->
         raise ValueError("vertex id out of range")
     if np.any(us == vs):
         raise ValueError("a pair u = v has no common-neighbor count")
-    adj = sp.csr_matrix((np.ones(len(graph.indices), dtype=np.int8), graph.indices, graph.indptr),
-                        shape=(n, n))
-    # int32 positions keep the pair-sized arrays below at 4 bytes an entry
-    pos = np.empty(n, dtype=np.int32)
-    pos[csgraph.reverse_cuthill_mckee(adj, symmetric_mode=True)] = np.arange(n)
-    del adj
-    rows, starts = graph.packed_rows(pos)
+    pos, rows, starts = graph.layout
     pu, pv = pos[us], pos[vs]
     lo = np.minimum(pu, pv)
     hi = np.maximum(pu, pv, out=pu)

@@ -47,14 +47,16 @@ def _bisect(pred, lo: float, hi: float, tol: float = BISECT_TOL) -> tuple[float,
     """Halve [lo, hi] until it is at most tol wide, for pred false at lo and true at hi.
 
     pred must switch once from false to true on the bracket.  The midpoint
-    replaces hi where pred holds and lo elsewhere.
+    replaces hi where pred holds and lo elsewhere.  The loop also stops
+    when that leaves the bracket unchanged: lo and hi are then adjacent
+    floats more than tol apart, and the next step would repeat forever.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+        step = (lo, mid) if pred(mid) else (mid, hi)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return lo, hi
 
 

@@ -180,6 +180,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("thresholds", "--n", "5000", "--a", "nan", "--b", "1"),
+        ("thresholds", "--n", "5000", "--a", "13", "--b", "inf"),
+        ("thresholds", "--n", "5000", "--a", "13", "--b", "1", "--divergence-target", "nan"),
+        ("gen", "--n", "100", "--a", "13", "--b", "1", "--t", "0"),
+        ("gen", "--n", "0", "--a", "13", "--b", "1"),
+        ("gen", "--n", "-5", "--a", "13", "--b", "1"),
+        ("dense", "--n", "100", "--t", "0", "--rs", "0.6", "--rd", "0.4"),
+    ])
+    def test_bad_number_is_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "gen":
+            argv += ("--out", str(tmp_path / "x"))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --") and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_huge_divergence_target_ends(self, capsys):
+        # the bisection for f1 ends at adjacent floats 6e-8 apart
+        assert run_cli("thresholds", "--n", "5000", "--a", "13", "--b", "1",
+                       "--divergence-target", "1e10") == 0
+        assert json.loads(capsys.readouterr().out)["thresholds"]["f1"] > 5e8
+
     def test_removed_fast_mode_flag_is_usage_error(self, tmp_path):
         assert run_cli("recover", "--in", str(tmp_path / "g.graph.txt"), "--a", "13",
                        "--b", "1", "--fast-mode") == 1

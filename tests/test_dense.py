@@ -60,6 +60,19 @@ class TestEdgeOracle:
                               r_orc.query_pairs(us[ok], vs[ok]))
         assert g_orc.queries == r_orc.queries
 
+    def test_graph_backed_trial_matches_rule_backed(self):
+        # the graph's row windows (W = 21 words) are narrower than its full rows (32)
+        n, t, r_s, r_d = 2000, 2, 0.6, 0.4
+        inst = gen.gen_gbm_t(n, t, r_s, r_d, seed=11)
+        assert inst.graph.layout[1].shape[1] // 2 < -(-n // 64)
+        plan = th.dense_plan(n, t, r_s, r_d)
+        got = dn.dense_recover(dn.GraphEdgeOracle(inst.graph), n, t, r_s, r_d, plan, seed=5)
+        want = dn.dense_recover(dn.GbmEdgeOracle(inst.embeddings, inst.truth, r_s, r_d),
+                                n, t, r_s, r_d, plan, seed=5)
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.queries_used, got.ties, got.phase1_sizes) == \
+            (want.queries_used, want.ties, want.phase1_sizes)
+
     @pytest.mark.parametrize("t", [2, 7])
     def test_block_agrees_with_pairs_at_tie_radii(self, t):
         # radii set to the distances of sampled pairs put those pairs (and

@@ -12,7 +12,7 @@ from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab import recovery as rec
 from gbmlab.geometry import sample_circle, sample_sphere
-from gbmlab.graph import from_edges
+from gbmlab.graph import empty_graph, from_edges
 from gbmlab.rng import substream
 from gbmlab.thresholds import DensePlan
 from test_recovery import bfs_components, common_neighbor_count
@@ -148,6 +148,48 @@ class TestFromEdges:
         vs = np.array([p[1] for p in pairs], dtype=np.int64)
         want = [(min(a, b), max(a, b)) in edge_set for a, b in pairs]
         assert g.has_edges(us, vs).tolist() == want
+
+    def test_has_edges_inside_and_outside_windows(self):
+        # at n = 2 000 the circle graph's row windows are narrower than its
+        # full rows, so pairs fall inside and on both sides of them; five
+        # isolated vertices are appended
+        n = 2000
+        inst = gen.gen_gbm1(n, gen.radius_from_scale(6, n), gen.radius_from_scale(1, n), seed=7)
+        g = from_edges(n + 5, inst.graph.edges[:, 0], inst.graph.edges[:, 1])
+        pos, rows, starts = g.layout
+        w = rows.shape[1] // 2
+        assert w < -(-g.n // 64)
+        order = np.argsort(pos)
+        rng = substream(31)
+        near_u = rng.integers(0, g.n, 20000)
+        near_v = order[np.clip(pos[near_u] + rng.integers(-64 * w - 64, 64 * w + 64, 20000), 0, g.n - 1)]
+        far_u, far_v = rng.integers(0, g.n, (2, 5000))
+        every = np.arange(g.n)
+        # the columns just left and just right of each vertex's window
+        left = order[np.maximum(64 * starts[pos] - 1, 0)]
+        right = order[np.minimum(64 * (starts[pos] + w), g.n - 1)]
+        isolated = np.arange(n, n + 5)
+        us = np.concatenate([near_u, far_u, every, every, every, np.repeat(isolated, g.n),
+                             g.edges[:, 1]])
+        vs = np.concatenate([near_v, far_v, every, left, right, np.tile(every, 5), g.edges[:, 0]])
+        off = pos[vs] - 64 * starts[pos[us]]
+        assert (off < 0).any() and (off >= 64 * w).any()
+        edge_set = set(map(tuple, g.edges.tolist()))
+        want = [(min(a, b), max(a, b)) in edge_set for a, b in zip(us.tolist(), vs.tolist())]
+        got = g.has_edges(us, vs)
+        assert got.tolist() == want
+        inside = (off >= 0) & (off < 64 * w)
+        assert got[inside].any() and not got[inside].all()
+        assert not got[~inside].any()
+        e = empty_graph(g.n)
+        assert not e.has_edges(us, vs).any()
+        assert e.has_edges(us[:0], vs[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (5, 0), (0, 5)])
+    def test_has_edges_rejects_out_of_range(self, u, v):
+        g = from_edges(5, [0, 1, 3], [1, 2, 4])
+        with pytest.raises(ValueError, match="out of range"):
+            g.has_edges(np.array([u, 0]), np.array([v, 1]))
 
     @SETTINGS
     @given(edge_lists(allow_repeats=False), st.integers(0, 10 ** 6))

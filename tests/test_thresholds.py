@@ -186,6 +186,14 @@ class TestBisection:
         with pytest.raises(th.RegimeError):
             th.solve_f1(1.0, target=1e300)
 
+    def test_ends_when_the_bracket_stops_moving(self):
+        # f1 is about 5.4e8 here, where neighbouring floats are 6e-8 apart,
+        # more than the 1e-9 tolerance; the bracket stops at adjacent floats
+        f1 = th.solve_f1(1.0, 1e10)
+        assert 5e8 < f1 < 6e8
+        lo, hi = th._bisect(lambda x: x >= f1, 0.0, 2 * f1)
+        assert hi == f1 and lo == np.nextafter(f1, 0.0)
+
     def test_negative_target_still_gives_thresholds(self):
         # phi >= 0 exceeds any negative target: theta2's bisection runs to s2
         # and the long-distance band is absent, with no check at s2
