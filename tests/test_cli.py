@@ -203,6 +203,14 @@ class TestExitCodes:
                        "--divergence-target", "1e10") == 0
         assert json.loads(capsys.readouterr().out)["thresholds"]["f1"] > 5e8
 
+    def test_heap_is_trimmed_after_every_command(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_trim_heap", lambda: calls.append(1))
+        assert run_cli("thresholds", "--n", "5000", "--a", "13", "--b", "1") == 0
+        assert run_cli("thresholds", "--n", "100", "--a", "1", "--b", "1") == 2
+        assert run_cli("gen", "--n", "0") == 1
+        assert calls == [1, 1, 1]
+
     def test_removed_fast_mode_flag_is_usage_error(self, tmp_path):
         assert run_cli("recover", "--in", str(tmp_path / "g.graph.txt"), "--a", "13",
                        "--b", "1", "--fast-mode") == 1
