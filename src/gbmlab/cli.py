@@ -170,13 +170,13 @@ def build_parser() -> _Parser:
     ph.add_argument("--n", type=_positive, required=True)
     ph.add_argument("--points", required=True,
                     help="comma-separated a:b pairs, e.g. 1.6:1.0,0.9:0.0")
-    ph.add_argument("--trials", type=int, default=10)
+    ph.add_argument("--trials", type=_positive, default=10)
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--family", choices=["rag1", "rag_t", "interval_union"], default="rag1")
     ph.add_argument("--t", type=_positive, default=1)
     ph.add_argument("--c", type=_finite, default=0.0,
                     help="short-band endpoint for the interval_union family")
-    ph.add_argument("--jobs", type=int, default=1)
+    ph.add_argument("--jobs", type=_positive, default=1)
     ph.add_argument("--format", choices=["csv", "json"], default="csv")
     ph.add_argument("--out", default="-")
 

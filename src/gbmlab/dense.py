@@ -256,36 +256,30 @@ def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     `adj` is the symmetric zero-diagonal block of `query_block`.  One
     `np.flatnonzero` pass per row chunk reads the block's CSR rows (columns
-    as int32) and its pairs u < v in row-major order, into arrays sized up
-    front; raises ValueError when its upper triangle does not hold half its
-    nonzeros.  The rows arrive sorted, so they make a `Graph` with no
-    `from_edges` sort; the block is dropped, and `bulk_common_neighbor_counts`
-    counts on the graph's `layout` (W is 67 to 68 words on `dense-oracle`
-    blocks, 111 for full rows).  uu and vv are views of its edge array.
+    as int32) into arrays sized up front, and the block is dropped.  Raises
+    ValueError when the upper triangle does not hold half the nonzeros or
+    a column count differs from its row's, two checks that no symmetric
+    block fails.  The rows arrive sorted, so they make a `Graph` with no
+    `from_edges` sort; uu and vv are the columns of its `edges`, and
+    `bulk_common_neighbor_counts` counts on its `layout` (W is 67 to 68
+    words on `dense-oracle` blocks, 111 for full rows).
     """
     h = adj.shape[0]
+    degrees = np.count_nonzero(adj, axis=1)
     indptr = np.zeros(h + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(adj, axis=1), out=indptr[1:])
-    m = int(indptr[-1]) // 2
+    np.cumsum(degrees, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    edges = np.empty((m, 2), dtype=np.int32)
-    s = 0
+    upper = 0
     step = max(1, (1 << 20) // max(h, 1))
     for i0 in range(0, h, step):
         r, c = np.divmod(np.flatnonzero(adj[i0:i0 + step]), h)
         indices[indptr[i0]:indptr[min(i0 + step, h)]] = c
-        upper = c > r + i0
-        e = s + np.count_nonzero(upper)
-        if e > m:
-            raise ValueError("adjacency block is not symmetric with a zero diagonal")
-        edges[s:e, 0] = r[upper] + i0
-        edges[s:e, 1] = c[upper]
-        s = e
-    adj = r = c = upper = None      # the block and the last chunk's pairs, freed before the kernel
-    if s != m:
+        upper += np.count_nonzero(c > r + i0)
+    adj = r = c = None      # the block and the last chunk's pairs, freed before the kernel
+    if 2 * upper != len(indices) or not np.array_equal(np.bincount(indices, minlength=h), degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
-    graph = Graph(n=h, indptr=indptr, indices=indices, edges=edges)
-    uu, vv = edges[:, 0], edges[:, 1]
+    graph = Graph(n=h, indptr=indptr, indices=indices)
+    uu, vv = graph.edges[:, 0], graph.edges[:, 1]
     return uu, vv, bulk_common_neighbor_counts(graph, uu, vv)
 
 

@@ -1,8 +1,10 @@
 """Immutable simple undirected graph with sorted adjacency.
 
-Stored as a CSR-style (indptr, indices) pair with strictly sorted rows
-plus the unique edge list with u < v, which keeps file output canonical.
-`Graph.layout` packs the rows once for counting and membership.
+Stored once, as a CSR-style (indptr, indices) pair holding both
+orientations of every edge in strictly sorted rows.  The unique edge list
+with u < v, which keeps file output canonical, is read off those rows on
+first use (`Graph.edges`), and `Graph.layout` packs them once for
+counting and membership.
 """
 
 from __future__ import annotations
@@ -33,12 +35,21 @@ def _row_chunks(indptr: np.ndarray, size: int):
 class Graph:
     n: int
     indptr: np.ndarray     # (n+1,) int64
-    indices: np.ndarray    # (2m,) int32, sorted within each vertex slice
-    edges: np.ndarray      # (m, 2) int32 with edges[:,0] < edges[:,1], lexicographically sorted
+    indices: np.ndarray    # (2m,) int32, each edge in both rows, sorted within each vertex slice
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(m, 2) int32 edges u < v sorted by (u, v): the CSR entries above the diagonal, row by row."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
+        upper = self.indices > rows
+        edges = np.empty((self.m, 2), dtype=np.int32)
+        edges[:, 0] = rows[upper]
+        edges[:, 1] = self.indices[upper]
+        return edges
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -68,9 +79,7 @@ class Graph:
     def adjacency_bool(self) -> np.ndarray:
         """Dense (n, n) boolean adjacency. Intended for n up to ~2e4."""
         a = np.zeros((self.n, self.n), dtype=bool)
-        if self.m:
-            a[self.edges[:, 0], self.edges[:, 1]] = True
-            a[self.edges[:, 1], self.edges[:, 0]] = True
+        a[np.repeat(np.arange(self.n), self.degrees()), self.indices] = True
         return a
 
     def packed_rows(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +146,10 @@ class Graph:
         which must not write to it: 16 n W bytes, built on first use (about
         5 ms at 1.1e5 edges) and kept.
         """
+        # scipy cannot order an empty matrix
         order = csgraph.reverse_cuthill_mckee(csr_matrix(
             (np.ones(len(self.indices), dtype=np.int8), self.indices, self.indptr),
-            shape=(self.n, self.n)), symmetric_mode=True)
+            shape=(self.n, self.n)), symmetric_mode=True) if self.n else np.empty(0, np.int32)
         # int32 positions keep the readers' pair-sized arrays at 4 bytes an entry
         pos = np.empty(self.n, dtype=np.int32)
         pos[order] = np.arange(self.n)
@@ -160,24 +170,19 @@ class Graph:
         if len(bad) or len(loops):
             u = min(rows[bad[:1]].tolist() + rows[loops[:1]].tolist())
             raise ValueError(f"adjacency of vertex {u} not strictly sorted / has self-loop")
-        u, v = self.edges[:, 0].astype(np.int64), self.edges[:, 1].astype(np.int64)
-        if np.any(u >= v):
-            raise ValueError("edge list not in u < v form")
-        keys = u * n + v
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("edge list not strictly sorted (duplicate edges?)")
-        both = np.concatenate([keys, v * n + u])
-        both.sort()
-        if not np.array_equal(both, csr_keys):
-            raise ValueError("edge list inconsistent with adjacency")
+        transposed = indices * np.int64(n) + rows
+        transposed.sort()
+        if not np.array_equal(transposed, csr_keys):
+            raise ValueError("adjacency not symmetric")
 
 
 def from_edges(n: int, u, v) -> Graph:
     """Build a Graph from parallel endpoint arrays (any orientation).
 
-    Raises ValueError on a self-loop or a pair given twice.  Edges are
-    sorted once by the key lo * n + hi; the CSR arrays come from one sort
-    of the keys of both orientations.
+    Raises ValueError on a self-loop or a pair given twice.  The CSR rows
+    come from one sort of the keys u * n + v of both orientations, which
+    also finds a repeated pair: its key lo * n + hi is the smallest
+    repeated key, since lo * n + hi < hi * n + lo.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -185,25 +190,17 @@ def from_edges(n: int, u, v) -> Graph:
         raise ValueError("endpoint arrays differ in length")
     if len(u) and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("vertex id out of range")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    if np.any(lo == hi):
-        raise ValueError(f"self-loop at vertex {int(lo[np.argmax(lo == hi)])}")
-    keys = lo * n + hi
-    keys.sort()
-    dup = np.flatnonzero(keys[1:] == keys[:-1])
-    if len(dup):
-        raise ValueError(f"duplicate edge {divmod(int(keys[dup[0]]), n)}")
-    lo, hi = np.divmod(keys, n)
-    edges = np.empty((len(keys), 2), dtype=np.int32)
-    edges[:, 0] = lo
-    edges[:, 1] = hi
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
-    both = np.concatenate([keys, hi * n + lo])
+    if np.any(u == v):
+        raise ValueError(f"self-loop at vertex {int(u[np.argmax(u == v)])}")
+    both = np.concatenate([u * n + v, v * n + u])
     both.sort()
+    dup = np.flatnonzero(both[1:] == both[:-1])
+    if len(dup):
+        raise ValueError(f"duplicate edge {divmod(int(both[dup[0]]), n)}")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
     indices = np.remainder(both, n, out=both).astype(np.int32)
-    return Graph(n=int(n), indptr=indptr, indices=indices, edges=edges)
+    return Graph(n=int(n), indptr=indptr, indices=indices)
 
 
 def empty_graph(n: int) -> Graph:

@@ -197,6 +197,13 @@ class TestExitCodes:
         assert err.startswith("usage error: argument --") and len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [("--jobs", "0"), ("--jobs", "-3"), ("--trials", "0")])
+    def test_phase_counts_below_one_fail_at_parse_time(self, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli.analysis, "phase_sweep", lambda *a, **k: pytest.fail("ran"))
+        assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: expected an integer >= 1")
+
     def test_huge_divergence_target_ends(self, capsys):
         # the bisection for f1 ends at adjacent floats 6e-8 apart
         assert run_cli("thresholds", "--n", "5000", "--a", "13", "--b", "1",

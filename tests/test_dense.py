@@ -247,10 +247,11 @@ class TestSubsampleCounts:
         a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
         assert np.array_equal(counts, (a @ a)[uu, vv])
 
-    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)]])
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)],
+                                       [(0, 1), (2, 1)]])
     def test_rejects_block_not_symmetric(self, cells):
-        # the pair arrays are sized from half the block's nonzeros, which
-        # here is not the size of its upper triangle
+        # the upper triangle does not hold half the nonzeros, or (the last
+        # block) a column holds other than its row's count
         adj = np.zeros((5, 5), dtype=bool)
         for r, c in cells:
             adj[r, c] = True

@@ -57,6 +57,13 @@ class TestCommonNeighborCount:
         assert one_count(g, 0, 4) == 0
         assert rec.bulk_common_neighbor_counts(g, [], []).shape == (0,)
 
+    def test_no_vertices(self):
+        g = empty_graph(0)
+        pos, rows, starts = g.layout
+        assert len(pos) == len(rows) == len(starts) == 0
+        assert g.has_edges(np.empty(0, np.int64), np.empty(0, np.int64)).shape == (0,)
+        assert rec.bulk_common_neighbor_counts(g, [], []).shape == (0,)
+
     def test_rejects_bad_ids(self):
         g = empty_graph(5)
         for u, v in ((0, 0), (0, 7), (-1, 2)):
