@@ -14,10 +14,14 @@ The oracle counts distinct pairs from a record of what it probed, not
 from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
 single pairs as sorted index arrays, plus an n-byte mask of touched
 vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
-the one h x h array.  It is answered one unordered pair at a time and
-mirrored, read once into CSR rows, and freed before its common-neighbor
-counts are taken by `bulk_common_neighbor_counts`, the package's one
-counting kernel and row layout.  Every other temporary is chunk-sized.
+held as packed bits, h rows of 2 ceil(h / 64) words (the full rows of
+`Graph.packed_rows`, then zero words), about h^2 / 4 bytes.  It is
+answered one unordered pair at a time and mirrored into those bits, and
+the filter streams over it in row chunks: each chunk's pairs above the
+diagonal are counted by `recovery._window_counts`, the package's one
+counting kernel, and only the pairs the filter keeps are stored.  No
+h x h boolean and no array with an entry per induced edge exists; every
+other temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ import numpy as np
 
 from .geometry import squared_chord
 from .graph import Graph
-from .recovery import (UNASSIGNED, _components, _keep, _label_two_largest,
-                       bulk_common_neighbor_counts)
+from .recovery import UNASSIGNED, _components, _keep, _label_two_largest, _window_counts
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -45,12 +48,24 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_CELLS // max(width, 1))
 
 
-def _mirror(out: np.ndarray, i0: int, answers: np.ndarray) -> None:
-    """Write the answers of rows i0 to i0 + k against columns i0 on into the
-    symmetric block `out`: at those rows and, transposed, at those columns."""
-    k = answers.shape[0]
-    out[i0:i0 + k, i0:] = answers
-    out[i0:, i0:i0 + k] = answers.T
+def _zero_block(h: int) -> tuple[np.ndarray, int]:
+    """The zeroed (h, 2 ceil(h / 64)) uint64 words of a size-h packed block,
+    and the rows per answer chunk: about 2^19 cells, a multiple of 8 so
+    that `_mirror_bits` writes whole bytes."""
+    return np.zeros((h, 2 * -(-h // 64)), dtype=np.uint64), 8 * max(1, _chunk_rows(h) // 8)
+
+
+def _mirror_bits(words: np.ndarray, i0: int, answers: np.ndarray) -> None:
+    """Pack the answers of rows i0 to i0 + k against columns i0 on into the
+    symmetric packed block `words`: at those rows and, transposed, at
+    those columns, in np.packbits order.  i0 must be a multiple of 8, so
+    both writes cover whole bytes; bits past the last column pack as 0."""
+    out = words.view(np.uint8)
+    b0 = i0 // 8
+    rows = np.packbits(answers, axis=1)
+    out[i0:i0 + len(rows), b0:b0 + rows.shape[1]] = rows
+    cols = np.packbits(np.ascontiguousarray(answers.T), axis=1)
+    out[i0:, b0:b0 + cols.shape[1]] = cols
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -146,8 +161,15 @@ class EdgeOracle:
             out[i0:i0 + step] = self._answer(rows[i0:i0 + step, None], cols[None, :])
         return out
 
-    def query_block(self, sample) -> np.ndarray:
-        """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency matrix."""
+    def query_block_bits(self, sample) -> np.ndarray:
+        """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency as packed bits.
+
+        Row i of the (h, 2 ceil(h / 64)) uint64 result is sample[i]'s row:
+        column j in bit 7 - j % 8 of byte j // 8 (np.packbits order), then
+        as many zero words, which is the full-row case of
+        `Graph.packed_rows` (every window start 0).  The diagonal and the
+        bits past column h - 1 are 0.
+        """
         sample = np.asarray(sample, dtype=np.int64).ravel()
         ssample = _distinct(sample)
         if len(ssample) != len(sample):
@@ -157,23 +179,30 @@ class EdgeOracle:
         iu, jv = np.triu_indices(len(old), 1)
         self.queries += h * (h - 1) // 2 - self._recorded(old[iu], old[jv])
         self._record_block(ssample, ssample)
-        adj = self._block_answer(sample)
-        np.fill_diagonal(adj, False)
-        return adj
+        words = self._block_answer(sample)
+        # column i of row i is bit 7 - i % 8 of byte i // 8
+        i = np.arange(h)
+        words.view(np.uint8)[i, i >> 3] &= ~(np.uint8(0x80) >> (i & 7).astype(np.uint8))
+        return words
+
+    def query_block(self, sample) -> np.ndarray:
+        """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency matrix."""
+        words = self.query_block_bits(sample)
+        return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
         """`_answer` on each unordered pair of the sample once, by row chunks of about 2^19 cells.
 
         Row chunk [i0, i0 + step) is answered against the columns from i0 on
-        only, and written to its rows and, transposed, to its columns, so
-        the block comes out symmetric at half the answers.
+        only, and packed into its rows and, transposed, into its columns of
+        the `query_block_bits` words, so the block comes out symmetric at
+        half the answers.
         """
         h = len(sample)
-        out = np.empty((h, h), dtype=bool)
-        step = _chunk_rows(h)
+        words, step = _zero_block(h)
         for i0 in range(0, h, step):
-            _mirror(out, i0, self._answer(sample[i0:i0 + step, None], sample[i0:]))
-        return out
+            _mirror_bits(words, i0, self._answer(sample[i0:i0 + step, None], sample[i0:]))
+        return words
 
 
 class GraphEdgeOracle(EdgeOracle):
@@ -216,20 +245,19 @@ class GbmEdgeOracle(EdgeOracle):
         only the columns from i0 on and is mirrored.  This is exact: each
         coordinate's (a - b)^2 equals (b - a)^2 bit for bit, and label
         equality is symmetric.  Each chunk's temporaries hold about 2^19
-        floats, so the block costs its h x h boolean answer plus a few MB.
+        floats, so the block costs its packed words plus a few MB.
         """
         xs = self._x[sample]
         labels = self._labels[sample]
         h = len(sample)
         idx = np.arange(h)
-        out = np.empty((h, h), dtype=bool)
-        step = _chunk_rows(h)
+        words, step = _zero_block(h)
         for i0 in range(0, h, step):
             rows, cols = idx[i0:i0 + step, None], idx[i0:]
             d2 = squared_chord(xs, rows, cols)
             same = labels[rows] == labels[cols]
-            _mirror(out, i0, np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1]))
-        return out
+            _mirror_bits(words, i0, np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1]))
+        return words
 
 
 def phase1_balance_check(h: int, c1: int, c2: int) -> bool:
@@ -251,36 +279,46 @@ class DenseResult:
     balance_ok: Optional[bool] = None
 
 
-def _subsample_counts(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induced edges (u, v) and their common-neighbor counts within the sample.
+def _subsample_counts(words: np.ndarray, e_s: float,
+                      e_d: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The induced edges (u, v), u < v, that the filter keeps, and their common-neighbor counts.
 
-    `adj` is the symmetric zero-diagonal block of `query_block`.  One
-    `np.flatnonzero` pass per row chunk reads the block's CSR rows (columns
-    as int32) into arrays sized up front, and the block is dropped.  Raises
-    ValueError when the upper triangle does not hold half the nonzeros or
-    a column count differs from its row's, two checks that no symmetric
-    block fails.  The rows arrive sorted, so they make a `Graph` with no
-    `from_edges` sort; uu and vv are the columns of its `edges`, and
-    `bulk_common_neighbor_counts` counts on its `layout` (W is 67 to 68
-    words on `dense-oracle` blocks, 111 for full rows).
+    `words` is the packed block of `query_block_bits`.  It is unpacked in
+    row chunks of about 2^20 cells; each chunk's pairs above the diagonal
+    are counted at once by `_window_counts` on the full rows (W = 111
+    words on `dense-oracle` blocks, every start 0) and kept by `_keep`, so
+    the kept pairs come in row-major order (int32) and no array holds
+    every induced edge.  Raises ValueError when the upper triangle does
+    not hold half the set bits or a column count differs from its row's,
+    two checks that no symmetric block with a zero diagonal and zero
+    padding fails.
     """
-    h = adj.shape[0]
-    degrees = np.count_nonzero(adj, axis=1)
-    indptr = np.zeros(h + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
+    h = len(words)
+    packed = words.view(np.uint8)
+    starts = np.zeros(h, dtype=np.int64)
+    degrees = np.empty(h, dtype=np.int64)
+    columns = np.zeros(h, dtype=np.int64)
     upper = 0
+    # one empty part, so that h = 0 joins too
+    kept = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int64))]
     step = max(1, (1 << 20) // max(h, 1))
     for i0 in range(0, h, step):
-        r, c = np.divmod(np.flatnonzero(adj[i0:i0 + step]), h)
-        indices[indptr[i0]:indptr[min(i0 + step, h)]] = c
-        upper += np.count_nonzero(c > r + i0)
-    adj = r = c = None      # the block and the last chunk's pairs, freed before the kernel
-    if 2 * upper != len(indices) or not np.array_equal(np.bincount(indices, minlength=h), degrees):
+        degrees[i0:i0 + step] = np.bitwise_count(words[i0:i0 + step]).sum(axis=1)
+        bits = np.unpackbits(packed[i0:i0 + step], axis=1, count=h)
+        columns += np.add.reduce(bits, axis=0, dtype=np.int32)
+        # row r of the chunk against the columns from i0 on; above the diagonal where c > r
+        r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
+        above = c > r
+        uu, vv = r[above] + i0, c[above] + i0
+        upper += len(uu)
+        counts = _window_counts(words, starts, uu, vv)
+        keep = _keep(counts, e_s, e_d)
+        kept.append((uu[keep].astype(np.int32), vv[keep].astype(np.int32), counts[keep]))
+    if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
-    graph = Graph(n=h, indptr=indptr, indices=indices)
-    uu, vv = graph.edges[:, 0], graph.edges[:, 1]
-    return uu, vv, bulk_common_neighbor_counts(graph, uu, vv)
+    # a block passed with no other reference is freed before the kept pairs are joined
+    words = packed = bits = None
+    return tuple(map(np.concatenate, zip(*kept)))
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
@@ -292,12 +330,10 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     h, g = plan.h, plan.g
 
     sample = np.sort(rng.choice(n, size=h, replace=False))
-    # the h x h block is passed on with no other reference, so
-    # `_subsample_counts` frees it once it has read the rows
-    uu, vv, counts = _subsample_counts(oracle.query_block(sample))
-    kept = _keep(counts, plan.E_S, plan.E_D)
-
-    local, _ = _label_two_largest(h, _components(h, uu[kept], vv[kept])[1])
+    # phase 1 holds the packed block and the kept pairs, never the h x h
+    # boolean or every induced edge; the counts are dropped at once
+    uu, vv = _subsample_counts(oracle.query_block_bits(sample), plan.E_S, plan.E_D)[:2]
+    local, _ = _label_two_largest(h, _components(h, uu, vv)[1])
     c1_local = np.flatnonzero(local == 0)
     c2_local = np.flatnonzero(local == 1)
     phase1_sizes = (int(len(c1_local)), int(len(c2_local)))

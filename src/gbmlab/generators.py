@@ -74,11 +74,14 @@ class GbmInstance:
 def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
     """All unordered pairs with wraparound distance in the closed band [lo, hi], as rank-order rows.
 
-    Returns (order, indptr, cols).  ``order`` is the stable argsort of the
-    positions, so rank i stands for vertex order[i]; the pairs of rank i
-    are (i, j) for j in cols[indptr[i]:indptr[i + 1]], every j > i and
-    ascending.  In these rows every pair appears once, rows come grouped,
-    and neighbouring ranks are neighbours on the circle.
+    Returns (order, indptr, cols).  ``order`` is numpy's default argsort
+    of the positions, so rank i stands for vertex order[i]; the pairs of
+    rank i are (i, j) for j in cols[indptr[i]:indptr[i + 1]], every j > i
+    and ascending.  In these rows every pair appears once, rows come
+    grouped, and neighbouring ranks are neighbours on the circle.  The
+    sort is not stable, so tied positions may rank either way; the pair
+    set does not depend on how they rank, and neither does any caller's
+    result.
 
     Row i windows the raw gap delta = p[j] - p[i] over the sorted positions
     p.  The distance min(delta, 1 - delta) lies in the band iff delta is in
@@ -89,7 +92,7 @@ def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
     alone.  A band with lo > hi is empty.
     """
     n = len(pos)
-    order = np.argsort(pos, kind="stable")
+    order = np.argsort(pos)
     hi = min(hi, 0.5)
     if n == 0 or lo > hi:
         return order, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)

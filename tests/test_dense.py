@@ -6,6 +6,7 @@ import pytest
 from gbmlab import analysis as ana
 from gbmlab import dense as dn
 from gbmlab import generators as gen
+from gbmlab import recovery as rec
 from gbmlab import thresholds as th
 from gbmlab.geometry import sample_sphere
 from gbmlab.graph import from_edges
@@ -220,16 +221,25 @@ class TestQueryCross:
         assert orc.queries == 0
 
 
+def packed(adj):
+    """The `query_block_bits` words of a boolean block: packed rows, then zero words."""
+    h = len(adj)
+    words = np.zeros((h, 2 * -(-h // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, :-(-h // 8)] = np.packbits(adj, axis=1)
+    return words
+
+
 class TestSubsampleCounts:
     @pytest.mark.parametrize("h", [1, 2, 7, 63, 64, 65, 130, 200])
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
     def test_matches_matrix_square(self, h, density):
+        # e_s = 0 keeps every pair above the diagonal, in row-major order
         rng = substream(19, h, int(100 * density))
         upper = np.triu(rng.random((h, h)) < density, 1)
         adj = upper | upper.T
         adj[rng.random(h) < 0.2] = False        # some empty rows
         adj &= adj.T
-        uu, vv, counts = dn._subsample_counts(adj)
+        uu, vv, counts = dn._subsample_counts(packed(adj), 0, None)
         want_u, want_v = np.nonzero(np.triu(adj, 1))
         assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
         a = adj.astype(np.int64)
@@ -241,22 +251,38 @@ class TestSubsampleCounts:
         rng = substream(23)
         upper = np.triu(rng.random((h, h)) < 0.3, 1)
         adj = upper | upper.T
-        uu, vv, counts = dn._subsample_counts(adj.copy())
+        uu, vv, counts = dn._subsample_counts(packed(adj), 0, None)
         want_u, want_v = np.nonzero(upper)
         assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
         a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
         assert np.array_equal(counts, (a @ a)[uu, vv])
 
+    @pytest.mark.parametrize("e_s, e_d", [(60.0, None), (70.0, 50.0), (45.5, 44.5), (1e9, -1.0)])
+    def test_keeps_what_the_keep_rule_keeps(self, e_s, e_d):
+        # counts on this block run from 30 to 98 (mean 60), across the thresholds
+        h = 1500
+        rng = substream(29)
+        upper = np.triu(rng.random((h, h)) < 0.2, 1)
+        adj = upper | upper.T
+        uu, vv, counts = dn._subsample_counts(packed(adj), e_s, e_d)
+        all_u, all_v = np.nonzero(upper)
+        a = adj.astype(np.float64)
+        all_counts = (a @ a)[all_u, all_v].astype(np.int64)
+        keep = rec._keep(all_counts, e_s, e_d)
+        assert 0 <= keep.sum() < len(keep)
+        assert np.array_equal(uu, all_u[keep]) and np.array_equal(vv, all_v[keep])
+        assert np.array_equal(counts, all_counts[keep])
+
     @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)],
                                        [(0, 1), (2, 1)]])
     def test_rejects_block_not_symmetric(self, cells):
-        # the upper triangle does not hold half the nonzeros, or (the last
+        # the upper triangle does not hold half the set bits, or (the last
         # block) a column holds other than its row's count
         adj = np.zeros((5, 5), dtype=bool)
         for r, c in cells:
             adj[r, c] = True
         with pytest.raises(ValueError):
-            dn._subsample_counts(adj)
+            dn._subsample_counts(packed(adj), 0, None)
 
 
 class TestBalanceCheck:

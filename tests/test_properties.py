@@ -395,6 +395,18 @@ class TestCircleBandPairs:
         assert np.array_equal(keys[order], pair_keys(n, uu[band], vv[band]))
         assert np.array_equal(d[order], dist[band])
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3 / 64), (5 / 64, 20 / 64), (16 / 64, 0.5)])
+    def test_tied_positions_match_brute_force(self, lo, hi):
+        # 2000 positions on a 1/64 grid: about 31 vertices share each position
+        n = 2000
+        pos = substream(37).integers(0, 64, n) / 64
+        u, v, _ = gen._circle_band_pairs(pos, lo, hi)
+        uu, vv = np.triu_indices(n, 1)
+        dist = np.abs(pos[uu] - pos[vv])
+        dist = np.minimum(dist, 1 - dist)
+        band = (dist >= lo) & (dist <= hi)
+        assert np.array_equal(np.sort(pair_keys(n, u, v)), pair_keys(n, uu[band], vv[band]))
+
 
 class TestSpherePairsWithin:
     @SETTINGS
@@ -605,6 +617,37 @@ class TestSymmetricBlock:
         assert np.array_equal(got, want)
         assert np.array_equal(got, got.T)
         assert oracle.queries == h * (h - 1) // 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bits_equal_rule_with_zero_padding(self, data):
+        # h % 8 != 0 leaves padding bits in the last byte of a row; past
+        # h = 724 the answer chunks (a multiple of 8 rows) split the block
+        n = data.draw(st.integers(900, 1200))
+        rng = substream(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = sample_sphere(rng, n, 2)
+        labels = rng.integers(0, 2, n)
+        r_s, r_d = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))
+        d2 = sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1]))
+        rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
+        del d2
+        graph = from_edges(n, *np.nonzero(np.triu(rule, 1)))
+        make = (lambda: dn.GbmEdgeOracle(x, labels, r_s, r_d)) if data.draw(st.booleans()) \
+            else (lambda: dn.GraphEdgeOracle(graph))
+        h = data.draw(st.one_of(st.integers(0, 70), st.integers(725, n)))
+        sample = rng.choice(n, h, replace=False)      # unsorted
+        oracle, twin = make(), make()
+        words = oracle.query_block_bits(sample)
+        nw = -(-h // 64)
+        assert words.dtype == np.uint64 and words.shape == (h, 2 * nw)
+        bits = np.unpackbits(words.view(np.uint8), axis=1).view(bool)
+        got = bits[:, :h]
+        want = rule[np.ix_(sample, sample)] & ~np.eye(h, dtype=bool)
+        assert np.array_equal(got, want)
+        assert not bits[:, h:].any()
+        assert np.array_equal(got, got.T)
+        twin.query_block(sample)
+        assert oracle.queries == twin.queries == h * (h - 1) // 2
 
 
 @st.composite
