@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (IntervalSet, _circle_band_pairs, _circle_band_rows, _rag1_positions,
-                         _sphere_pairs_within, interval_union_edges_only, rag_t_edges_only,
-                         radius_from_scale)
-from .geometry import annulus_fraction, psi
+from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _rag1_positions,
+                         _seeded, _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
+from .geometry import annulus_fraction, psi, sample_circle
 from .graph import Graph
 from .recovery import UNASSIGNED, _components
 
@@ -185,26 +184,62 @@ class PhasePoint:
     mean_components: float
 
 
+def _circle_bands_connectivity(p: np.ndarray, bands) -> tuple[bool, int, int]:
+    """(connected, isolated count, component count) of the circle graph on sorted positions p
+    with an edge iff the wraparound distance lies in one of the closed bands (lo, hi).
+
+    No pair is listed: each rank's neighbours above it are the windows of
+    ``_circle_band_ranges``, contiguous ranges of ranks.  A rank is
+    isolated iff it heads no non-empty range and no range covers it; the
+    coverage is a difference array.  Ranks j and j + 1 inside one range
+    are both neighbours of its head, so each maximal run of such links is
+    connected, and every rank of a range lies in the run of its first
+    rank.  The graph's components are thus those of the run graph with
+    one edge per non-empty range, run(head) - run(first rank).  A pair in
+    two bands changes neither count.
+    """
+    n = len(p)
+    if n == 0:
+        return False, 0, 0
+    windows = [w for lo, hi in bands for w in _circle_band_ranges(p, lo, hi)]
+    starts = np.stack([s for s, _ in windows])     # one row per window
+    lens = np.stack([k for _, k in windows])
+    # an empty range adds and removes its count at its start, so it cancels
+    opened = np.bincount(starts.ravel(), minlength=n + 1)
+    covered = np.cumsum(opened - np.bincount((starts + lens).ravel(), minlength=n + 1))[:n] > 0
+    isolated = n - int(np.count_nonzero(covered | np.any(lens > 0, axis=0)))
+    # link j (ranks j and j + 1) lies in every range that holds both
+    last = np.maximum(starts + lens - 1, starts).ravel()
+    linked = np.cumsum(opened - np.bincount(last, minlength=n + 1))[:n - 1] > 0
+    run = np.concatenate(([0], np.cumsum(~linked)))
+    first = np.take(run, starts, mode="clip")
+    edge = (lens > 0) & (first != run)
+    ncomp = _components_from_edges(int(run[-1]) + 1, np.broadcast_to(run, first.shape)[edge],
+                                   first[edge])
+    return ncomp == 1, isolated, ncomp
+
+
 def _phase_trial(args) -> tuple[bool, bool, int]:
     family, n, a, b, c, t, seed, gi, ti = args
     trial_seed = (seed, gi, ti)
     ln = math.log(n)
     if family == "rag1":
-        # the rank-order rows of rag1_edges_only: counts do not depend on the labelling
+        # rank order stands in for vertex ids: the counts do not depend on the labelling
         r1, r2 = b * ln / n, a * ln / n
-        _, indptr, v = _circle_band_rows(_rag1_positions(n, r1, r2, trial_seed), r1, r2)
-        u = np.repeat(np.arange(n), np.diff(indptr))
+        _, iso, ncomp = _circle_bands_connectivity(
+            np.sort(_rag1_positions(n, r1, r2, trial_seed)), [(r1, r2)])
     elif family == "rag_t":
         _, u, v = rag_t_edges_only(n, t, radius_from_scale(b, n, t),
                                    radius_from_scale(a, n, t), trial_seed)
+        deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        iso = int((deg == 0).sum())
+        ncomp = _components_from_edges(n, u, v)
     elif family == "interval_union":
         ivs = IntervalSet(((0.0, c * ln / n), (b * ln / n, a * ln / n)))
-        _, u, v = interval_union_edges_only(n, ivs, trial_seed)
+        _, iso, ncomp = _circle_bands_connectivity(
+            np.sort(sample_circle(_seeded(trial_seed), n)), ivs.intervals)
     else:
         raise ValueError(f"unknown family {family!r}")
-    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    iso = int((deg == 0).sum())
-    ncomp = _components_from_edges(n, u, v)
     return ncomp == 1, iso > 0, ncomp
 
 

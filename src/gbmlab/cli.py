@@ -60,10 +60,14 @@ def _out_stream(path: str):
 
 
 def _emit_json(path: str, payload: dict) -> None:
+    """Write the payload as JSON; a NaN or infinity in it writes nothing and raises RegimeError."""
     payload = {"schema": SCHEMA, "version": __version__, **payload}
+    try:
+        text = json.dumps(payload, indent=2, default=_jsonable, allow_nan=False)
+    except ValueError as exc:
+        raise thresholds.RegimeError(f"result is not finite ({exc})") from None
     stream = _out_stream(path)
-    json.dump(payload, stream, indent=2, default=_jsonable)
-    stream.write("\n")
+    stream.write(text + "\n")
     if stream is not sys.stdout:
         stream.close()
 

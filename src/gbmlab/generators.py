@@ -71,6 +71,36 @@ class GbmInstance:
     params: dict
 
 
+def _circle_band_ranges(p: np.ndarray, lo: float, hi: float):
+    """The two band windows of each rank over sorted positions p, as (start, length) pairs.
+
+    Returns ((start1, len1), (start2, len2)), int64 arrays of length n:
+    rank i's window k holds the ranks startk[i] to startk[i] + lenk[i] - 1,
+    all above i; a start is at most n.  Window 1 takes the raw gaps
+    delta = p[j] - p[i] in [lo, h] and window 2 those in [1 - h, 1 - lo],
+    with h = min(hi, 1/2); the wraparound distance min(delta, 1 - delta)
+    lies in the band iff delta is in one of them.  Window 2 starts no
+    earlier than window 1 ends, so a rank at delta = 1/2, in both gap
+    ranges, is in window 1 only.  A band with lo > hi has every length 0.
+    """
+    n = len(p)
+    hi = min(hi, 0.5)
+    if lo > hi:
+        zero = np.zeros(n, dtype=np.int64)
+        return (zero, zero), (zero, zero)
+    after = np.arange(1, n + 1)
+    # at lo = 0 the first window starts right after its rank, and the second
+    # ends at n unless the positions span more than 1 (p[i] + 1 >= p[0] + 1)
+    start1 = after if lo == 0.0 else np.maximum(np.searchsorted(p, p + lo, side="left"), after)
+    stop1 = np.searchsorted(p, p + hi, side="right")
+    start2 = np.maximum(np.searchsorted(p, p + (1.0 - hi), side="left"), stop1)
+    if lo == 0.0 and n and p[-1] <= p[0] + 1.0:
+        stop2 = np.full(n, n)
+    else:
+        stop2 = np.searchsorted(p, p + (1.0 - lo), side="right")
+    return (start1, np.maximum(stop1 - start1, 0)), (start2, np.maximum(stop2 - start2, 0))
+
+
 def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
     """All unordered pairs with wraparound distance in the closed band [lo, hi], as rank-order rows.
 
@@ -83,28 +113,18 @@ def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
     set does not depend on how they rank, and neither does any caller's
     result.
 
-    Row i windows the raw gap delta = p[j] - p[i] over the sorted positions
-    p.  The distance min(delta, 1 - delta) lies in the band iff delta is in
-    [lo, h] or in [1 - h, 1 - lo], with h = min(hi, 1/2).  Each window is
-    one index range of the sorted array, and the first starts no later
-    than the second, so the second is taken from the end of the first on:
-    a pair in both windows (delta = 1/2) is kept once, by index arithmetic
-    alone.  A band with lo > hi is empty.
+    Row i is the two windows of ``_circle_band_ranges`` on the sorted
+    positions, expanded into their ranks; a pair at delta = 1/2 is kept
+    once, in the first window.
     """
     n = len(pos)
     order = np.argsort(pos)
-    hi = min(hi, 0.5)
-    if n == 0 or lo > hi:
-        return order, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    p = pos[order]
-    after = np.arange(1, n + 1)
-    start1 = np.maximum(np.searchsorted(p, p + lo, side="left"), after)
-    stop1 = np.searchsorted(p, p + hi, side="right")
-    start2 = np.maximum(np.searchsorted(p, p + (1.0 - hi), side="left"), stop1)
-    stop2 = np.searchsorted(p, p + (1.0 - lo), side="right")
+    if n == 0:
+        return order, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    (start1, len1), (start2, len2) = _circle_band_ranges(pos[order], lo, hi)
     # the two ranges of each row, interleaved, expanded into their indices
     starts = np.stack([start1, start2], axis=1).ravel()
-    lens = np.maximum(np.stack([stop1, stop2], axis=1).ravel() - starts, 0)
+    lens = np.stack([len1, len2], axis=1).ravel()
     ends = np.cumsum(lens)
     cols = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
     return order, np.concatenate(([0], ends[1::2])), cols

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbmlab import cli
 from gbmlab import graph as gr
@@ -221,3 +226,78 @@ class TestExitCodes:
     def test_removed_fast_mode_flag_is_usage_error(self, tmp_path):
         assert run_cli("recover", "--in", str(tmp_path / "g.graph.txt"), "--a", "13",
                        "--b", "1", "--fast-mode") == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+#: the numbers a flag or a point gets: edge cases and ordinary values, as text
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0.0", "-1", "-2.5", "nan", "-nan", "inf", "-inf", "1e308", "-1e308"]),
+    st.floats(-20, 20, allow_nan=False).map(repr),
+    st.floats(0, 8).map(repr),
+)
+
+
+@st.composite
+def points(draw):
+    """One a:b point, ordered a >= b half of the time when both are numbers."""
+    a, b = draw(NUMBERS), draw(NUMBERS)
+    if draw(st.booleans()) and float(a) < float(b):
+        a, b = b, a
+    return f"{a}:{b}"
+
+
+@st.composite
+def phase_argvs(draw):
+    """`phase` over every family, small sizes, drawn points and --c."""
+    return ["phase", "--n", str(draw(st.integers(1, 60))),
+            "--points", ",".join(draw(st.lists(points(), min_size=1, max_size=3))),
+            "--family", draw(st.sampled_from(["rag1", "rag_t", "interval_union"])),
+            "--t", str(draw(st.integers(1, 3))), "--c", draw(NUMBERS),
+            "--trials", str(draw(st.integers(1, 3))), "--jobs", "1",
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@st.composite
+def thresholds_argvs(draw):
+    return ["thresholds", "--n", str(draw(st.integers(1, 60))),
+            "--a", draw(NUMBERS), "--b", draw(NUMBERS)]
+
+
+class TestDrawnInputs:
+    """Drawn values end in a documented exit code, never a traceback or a
+    non-finite number in the output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(phase_argvs(), thresholds_argvs()))
+    def test_clean_exit(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert time.perf_counter() - start < 10.0
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        text = out.getvalue()
+        if code != 0:
+            assert text == ""
+            assert len(err.getvalue().splitlines()) == 1
+        elif "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+            lines = text.splitlines()
+            assert lines[0].startswith("# schema=") and lines[1].startswith("a,b,")
+            for line in lines[2:]:
+                assert all(math.isfinite(float(x)) for x in line.split(","))
+        else:
+            json.loads(text, parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("out", ["-", "file"])
+    def test_overflowing_threshold_is_infeasible(self, tmp_path, capsys, out):
+        # 2a overflows to inf in theta1; nothing is written, not even a file
+        path = "-" if out == "-" else str(tmp_path / "t.json")
+        assert run_cli("thresholds", "--n", "5000", "--a", "1e308", "--b", "1", "--out", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible regime: ") and "inf" in captured.err
+        assert not list(tmp_path.iterdir())

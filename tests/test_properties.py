@@ -408,6 +408,67 @@ class TestCircleBandPairs:
         assert np.array_equal(np.sort(pair_keys(n, u, v)), pair_keys(n, uu[band], vv[band]))
 
 
+@st.composite
+def circle_band_unions(draw):
+    """(p, bands): sorted positions on a 1/64 grid, with ties, and one or two
+    closed bands with radii on the same grid, lo > hi (an empty band) included."""
+    n = draw(st.integers(1, 300))
+    p = np.sort(substream(draw(st.integers(0, 2 ** 32 - 1))).integers(0, 64, n) / 64)
+    radius = st.integers(0, 40).map(lambda k: k / 64)
+    bands = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo, hi = draw(radius), draw(radius)
+        shape = draw(st.sampled_from(["as drawn", "lo = 0", "hi >= 1/2"]))
+        if shape == "lo = 0":
+            lo = 0.0
+        elif shape == "hi >= 1/2":
+            hi = draw(st.integers(32, 64)) / 64
+        bands.append((lo, hi))
+    return p, bands
+
+
+def band_union_reference(p, bands):
+    """(connected, isolated, ncomp) from the expanded pairs of every band."""
+    n = len(p)
+    us, vs = [], []
+    for lo, hi in bands:
+        order, indptr, cols = gen._circle_band_rows(p, lo, hi)
+        us.append(order[np.repeat(np.arange(n), np.diff(indptr))])
+        vs.append(order[cols])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    isolated = int((np.bincount(u, minlength=n) + np.bincount(v, minlength=n) == 0).sum())
+    ncomp = rec._components(n, u, v)[0]
+    return ncomp == 1, isolated, ncomp
+
+
+class TestCircleBandsConnectivity:
+    @SETTINGS
+    @given(circle_band_unions())
+    def test_matches_pair_reference(self, case):
+        p, bands = case
+        assert ana._circle_bands_connectivity(p, bands) == band_union_reference(p, bands)
+
+    @pytest.mark.parametrize("family", ["rag1", "interval_union"])
+    @pytest.mark.parametrize("a, b", [(1.6, 1.0), (1.6, 1.3), (0.9, 0.0)])
+    def test_phase_trial_matches_pair_path(self, family, a, b):
+        # the criterion-4 points at n = 5e4: the trial's tuple is that of the
+        # deduplicated vertex-id pairs of the *_edges_only generators; at
+        # b = 0 the short band [0, 0] shares its pairs with the long one
+        n = 50_000
+        c = min(b, 0.5)
+        ln = np.log(n)
+        for seed in range(3):
+            if family == "rag1":
+                _, u, v = gen.rag1_edges_only(n, b * ln / n, a * ln / n, (seed, 0, 0))
+            else:
+                ivs = gen.IntervalSet(((0.0, c * ln / n), (b * ln / n, a * ln / n)))
+                _, u, v = gen.interval_union_edges_only(n, ivs, (seed, 0, 0))
+            ncomp = rec._components(n, u, v)[0]
+            iso = int((np.bincount(u, minlength=n) + np.bincount(v, minlength=n) == 0).sum())
+            got = ana._phase_trial((family, n, a, b, c, 1, seed, 0, 0))
+            assert got == (ncomp == 1, iso > 0, ncomp)
+
+
 class TestSpherePairsWithin:
     @SETTINGS
     @given(sphere_bands())
