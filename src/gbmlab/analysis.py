@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _rag1_positions,
-                         _seeded, _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
+from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _seeded,
+                         _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi, sample_circle
 from .graph import Graph
 from .recovery import UNASSIGNED, _components
@@ -163,7 +163,7 @@ def find_pole(graph: Graph, embeddings: np.ndarray, r2: float):
     """
     x = np.asarray(embeddings, dtype=float)
     if x.ndim == 1:
-        u, v, _ = _circle_band_pairs(x, 0.0, r2)
+        u, v, _ = _circle_band_pairs(x, [(0.0, r2)])
     else:
         u, v, _ = _sphere_pairs_within(x, 0.0, r2)
     absent = ~graph.has_edges(u, v)
@@ -189,19 +189,18 @@ def _circle_bands_connectivity(p: np.ndarray, bands) -> tuple[bool, int, int]:
     with an edge iff the wraparound distance lies in one of the closed bands (lo, hi).
 
     No pair is listed: each rank's neighbours above it are the windows of
-    ``_circle_band_ranges``, contiguous ranges of ranks.  A rank is
+    ``_circle_band_ranges``, disjoint ranges of ranks.  A rank is
     isolated iff it heads no non-empty range and no range covers it; the
     coverage is a difference array.  Ranks j and j + 1 inside one range
     are both neighbours of its head, so each maximal run of such links is
     connected, and every rank of a range lies in the run of its first
     rank.  The graph's components are thus those of the run graph with
-    one edge per non-empty range, run(head) - run(first rank).  A pair in
-    two bands changes neither count.
+    one edge per non-empty range, run(head) - run(first rank).
     """
     n = len(p)
     if n == 0:
         return False, 0, 0
-    windows = [w for lo, hi in bands for w in _circle_band_ranges(p, lo, hi)]
+    windows = _circle_band_ranges(p, bands)
     starts = np.stack([s for s, _ in windows])     # one row per window
     lens = np.stack([k for _, k in windows])
     # an empty range adds and removes its count at its start, so it cancels
@@ -223,21 +222,21 @@ def _phase_trial(args) -> tuple[bool, bool, int]:
     family, n, a, b, c, t, seed, gi, ti = args
     trial_seed = (seed, gi, ti)
     ln = math.log(n)
-    if family == "rag1":
-        # rank order stands in for vertex ids: the counts do not depend on the labelling
-        r1, r2 = b * ln / n, a * ln / n
-        _, iso, ncomp = _circle_bands_connectivity(
-            np.sort(_rag1_positions(n, r1, r2, trial_seed)), [(r1, r2)])
+    if family in ("rag1", "interval_union"):
+        # rag1 is the one-band union; rank order stands in for vertex ids,
+        # since the counts do not depend on the labelling
+        bands = ((b * ln / n, a * ln / n),)
+        if family == "interval_union":
+            bands = ((0.0, c * ln / n),) + bands
+        bands = IntervalSet(bands).intervals
+        p = np.sort(sample_circle(_seeded(trial_seed), n))
+        _, iso, ncomp = _circle_bands_connectivity(p, bands)
     elif family == "rag_t":
         _, u, v = rag_t_edges_only(n, t, radius_from_scale(b, n, t),
                                    radius_from_scale(a, n, t), trial_seed)
         deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         iso = int((deg == 0).sum())
         ncomp = _components_from_edges(n, u, v)
-    elif family == "interval_union":
-        ivs = IntervalSet(((0.0, c * ln / n), (b * ln / n, a * ln / n)))
-        _, iso, ncomp = _circle_bands_connectivity(
-            np.sort(sample_circle(_seeded(trial_seed), n)), ivs.intervals)
     else:
         raise ValueError(f"unknown family {family!r}")
     return ncomp == 1, iso > 0, ncomp

@@ -44,15 +44,20 @@ def _finite(text: str) -> float:
     return x
 
 
-def _positive(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return k
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            k = low - 1
+        if k < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return k
+    return parse
+
+
+_positive, _seed = _at_least(1), _at_least(0)
 
 
 def _out_stream(path: str):
@@ -124,7 +129,7 @@ def build_parser() -> _Parser:
     g.add_argument("--n", type=_positive, required=True)
     g.add_argument("--t", type=_positive, default=1)
     _add_radii_flags(g)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True, help="output path prefix")
 
     th = sub.add_parser("thresholds", help="print the 1-D threshold set as JSON")
@@ -165,7 +170,7 @@ def build_parser() -> _Parser:
     dn.add_argument("--n", type=_positive, required=True)
     dn.add_argument("--t", type=_positive, default=2)
     _add_radii_flags(dn)
-    dn.add_argument("--seed", type=int, default=0)
+    dn.add_argument("--seed", type=_seed, default=0)
     dn.add_argument("--theta-s", type=_finite, default=0.93)
     dn.add_argument("--theta-d", type=_finite, default=1.0)
     dn.add_argument("--out", default="-")
@@ -175,7 +180,7 @@ def build_parser() -> _Parser:
     ph.add_argument("--points", required=True,
                     help="comma-separated a:b pairs, e.g. 1.6:1.0,0.9:0.0")
     ph.add_argument("--trials", type=_positive, default=10)
-    ph.add_argument("--seed", type=int, default=0)
+    ph.add_argument("--seed", type=_seed, default=0)
     ph.add_argument("--family", choices=["rag1", "rag_t", "interval_union"], default="rag1")
     ph.add_argument("--t", type=_positive, default=1)
     ph.add_argument("--c", type=_finite, default=0.0,

@@ -2,12 +2,12 @@
 
 Families:
 
-* ``gen_rag1``     -- circle positions, edge iff wraparound distance in [r1, r2]
+* ``gen_interval_union_graph`` -- circle, edge iff distance in a union of bands
+* ``gen_rag1``     -- the one-band union: edge iff wraparound distance in [r1, r2]
 * ``gen_gbm1``     -- planted bipartition on the circle, radii r_s (same
                       cluster) and r_d (different clusters)
 * ``gen_rag_t``    -- sphere positions, edge iff chord distance in [r1, r2]
 * ``gen_gbm_t``    -- planted bipartition on S^t
-* ``gen_interval_union_graph`` -- circle, edge iff distance in a union of bands
 
 All generators are deterministic given (params, seed).  Vertex positions
 come from a per-seed Philox stream in vertex-major order, so instances of
@@ -15,6 +15,11 @@ different sizes share position prefixes.  Radii may be given raw or in the
 scaled form r = a log(n)/n (circle) / r = a (log(n)/n)^(1/t) (sphere) via
 ``radius_from_scale``.  Cluster convention: vertices 0..n/2-1 are cluster
 0.  All interval comparisons are closed.
+
+Every circle graph, trial and pair list comes from one primitive,
+``_circle_band_ranges``: for a list of bands it gives each rank of the
+sorted positions its disjoint windows of higher ranks.  On the sphere a
+k-d tree lists the pairs of one band, ``_sphere_pairs_within``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class IntervalSet:
         ivs = tuple(sorted((float(lo), float(hi)) for lo, hi in self.intervals))
         for lo, hi in ivs:
             if not (0.0 <= lo <= hi <= 0.5):
-                raise ValueError(f"interval [{lo}, {hi}] not within [0, 1/2]")
+                raise ValueError(f"need 0 <= lo <= hi <= 1/2, got [{lo}, {hi}]")
         for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
             if lo2 < hi1:
                 raise ValueError("intervals overlap")
@@ -71,38 +76,57 @@ class GbmInstance:
     params: dict
 
 
-def _circle_band_ranges(p: np.ndarray, lo: float, hi: float):
-    """The two band windows of each rank over sorted positions p, as (start, length) pairs.
+def _circle_band_ranges(p: np.ndarray, bands):
+    """The band windows of each rank over sorted positions p, disjoint and ascending.
 
-    Returns ((start1, len1), (start2, len2)), int64 arrays of length n:
-    rank i's window k holds the ranks startk[i] to startk[i] + lenk[i] - 1,
-    all above i; a start is at most n.  Window 1 takes the raw gaps
-    delta = p[j] - p[i] in [lo, h] and window 2 those in [1 - h, 1 - lo],
-    with h = min(hi, 1/2); the wraparound distance min(delta, 1 - delta)
-    lies in the band iff delta is in one of them.  Window 2 starts no
-    earlier than window 1 ends, so a rank at delta = 1/2, in both gap
-    ranges, is in window 1 only.  A band with lo > hi has every length 0.
+    Returns a list of (start, length) pairs of int64 arrays of length n:
+    rank i's window holds the ranks start[i] to start[i] + length[i] - 1,
+    all above i; a start is at most n.  The windows of one rank are
+    disjoint and listed in ascending rank order: together they hold once
+    each higher rank whose distance lies in one of the closed bands (lo, hi).
+
+    Each band's hi is cut to 1/2, bands with lo > hi are dropped, and the
+    rest are sorted and joined where they overlap or touch (a closed union
+    is unchanged by joining).  A band's window 1 takes the raw gaps
+    delta = p[j] - p[i] in [lo, hi] and window 2 those in [1 - hi, 1 - lo];
+    the wraparound distance min(delta, 1 - delta) lies in the band iff
+    delta is in one of them.  The windows come in ascending gap order:
+    window 1 of each band ascending, then window 2 of each band
+    descending, so their starts ascend.  Each starts no earlier than
+    ``reach``, the largest of i + 1 and every earlier window's stop, so a
+    rank in two gap ranges (a pair at delta = 1/2, or two ends tied by
+    rounding) is listed once, in the first, with no sort.  With no
+    non-empty band there is one window, of length 0.
     """
     n = len(p)
-    hi = min(hi, 0.5)
-    if lo > hi:
+    joined = []
+    for lo, hi in sorted((lo, min(hi, 0.5)) for lo, hi in bands if lo <= min(hi, 0.5)):
+        if joined and lo <= joined[-1][1]:
+            joined[-1][1] = max(joined[-1][1], hi)
+        else:
+            joined.append([lo, hi])
+    if not joined:
         zero = np.zeros(n, dtype=np.int64)
-        return (zero, zero), (zero, zero)
-    after = np.arange(1, n + 1)
-    # at lo = 0 the first window starts right after its rank, and the second
-    # ends at n unless the positions span more than 1 (p[i] + 1 >= p[0] + 1)
-    start1 = after if lo == 0.0 else np.maximum(np.searchsorted(p, p + lo, side="left"), after)
-    stop1 = np.searchsorted(p, p + hi, side="right")
-    start2 = np.maximum(np.searchsorted(p, p + (1.0 - hi), side="left"), stop1)
-    if lo == 0.0 and n and p[-1] <= p[0] + 1.0:
-        stop2 = np.full(n, n)
-    else:
-        stop2 = np.searchsorted(p, p + (1.0 - lo), side="right")
-    return (start1, np.maximum(stop1 - start1, 0)), (start2, np.maximum(stop2 - start2, 0))
+        return [(zero, zero)]
+    gaps = [(lo, hi) for lo, hi in joined] + [(1.0 - hi, 1.0 - lo) for lo, hi in reversed(joined)]
+    reach = np.arange(1, n + 1)
+    windows = []
+    for lo, hi in gaps:
+        # a window from gap 0 starts right after its rank, and one to gap 1
+        # ends at n unless the positions span more than 1 (p[i] + 1 >= p[0] + 1)
+        start = reach if lo == 0.0 else np.maximum(np.searchsorted(p, p + lo, side="left"), reach)
+        if hi == 1.0 and n and p[-1] <= p[0] + 1.0:
+            stop = np.full(n, n)
+        else:
+            stop = np.searchsorted(p, p + hi, side="right")
+        windows.append((start, np.maximum(stop - start, 0)))
+        reach = np.maximum(reach, stop)
+    return windows
 
 
-def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
-    """All unordered pairs with wraparound distance in the closed band [lo, hi], as rank-order rows.
+def _circle_band_rows(pos: np.ndarray, bands):
+    """All unordered pairs with wraparound distance in one of the closed bands (lo, hi),
+    as rank-order rows.
 
     Returns (order, indptr, cols).  ``order`` is numpy's default argsort
     of the positions, so rank i stands for vertex order[i]; the pairs of
@@ -113,44 +137,43 @@ def _circle_band_rows(pos: np.ndarray, lo: float, hi: float):
     set does not depend on how they rank, and neither does any caller's
     result.
 
-    Row i is the two windows of ``_circle_band_ranges`` on the sorted
-    positions, expanded into their ranks; a pair at delta = 1/2 is kept
-    once, in the first window.
+    Row i is the windows of ``_circle_band_ranges`` on the sorted
+    positions, expanded into their ranks.
     """
     n = len(pos)
     order = np.argsort(pos)
     if n == 0:
         return order, np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    (start1, len1), (start2, len2) = _circle_band_ranges(pos[order], lo, hi)
-    # the two ranges of each row, interleaved, expanded into their indices
-    starts = np.stack([start1, start2], axis=1).ravel()
-    lens = np.stack([len1, len2], axis=1).ravel()
+    windows = _circle_band_ranges(pos[order], bands)
+    # the ranges of each row, interleaved, expanded into their indices
+    starts = np.stack([s for s, _ in windows], axis=1).ravel()
+    lens = np.stack([k for _, k in windows], axis=1).ravel()
     ends = np.cumsum(lens)
     cols = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
-    return order, np.concatenate(([0], ends[1::2])), cols
+    return order, np.concatenate(([0], ends[len(windows) - 1::len(windows)])), cols
 
 
-def _circle_band_pairs(pos: np.ndarray, lo: float, hi: float):
-    """All unordered pairs with wraparound distance in the closed band [lo, hi].
+def _circle_band_pairs(pos: np.ndarray, bands):
+    """All unordered pairs with wraparound distance in one of the closed bands (lo, hi).
 
     Returns (u, v, distance) arrays: the vertex-id view of
     ``_circle_band_rows``, in its rank order, u the lower-ranked end.
     """
-    order, indptr, cols = _circle_band_rows(pos, lo, hi)
+    order, indptr, cols = _circle_band_rows(pos, bands)
     u = np.repeat(order, np.diff(indptr))
     v = order[cols]
     return u, v, geodesic_distance(pos[u], pos[v])
 
 
 def gen_rag1(n: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray]:
-    """Random annulus graph on the circle: edge iff distance in [r1, r2]."""
-    pos, u, v = rag1_edges_only(n, r1, r2, seed)
-    return from_edges(n, u, v), pos
+    """Random annulus graph on the circle: edge iff distance in [r1, r2], the one-band union."""
+    return gen_interval_union_graph(n, IntervalSet(((r1, r2),)), seed)
 
 
 def gen_interval_union_graph(n: int, intervals: IntervalSet, seed: int) -> tuple[Graph, np.ndarray]:
     """Circle graph with edge iff distance lies in a union of closed bands."""
-    pos, u, v = interval_union_edges_only(n, intervals, seed)
+    pos = sample_circle(_seeded(seed), n)
+    u, v, _ = _circle_band_pairs(pos, intervals.intervals)
     return from_edges(n, u, v), pos
 
 
@@ -173,7 +196,7 @@ def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     labels = _planted_labels(n)
     rng = _seeded(seed)
     pos = sample_circle(rng, n)
-    u, v, d = _circle_band_pairs(pos, 0.0, r_s)
+    u, v, d = _circle_band_pairs(pos, [(0.0, r_s)])
     same = labels[u] == labels[v]
     keep = np.where(same, d <= r_s, d <= r_d)
     g = from_edges(n, u[keep], v[keep])
@@ -245,42 +268,6 @@ def recheck_instance(inst: GbmInstance, non_edge_sample: int = 0, seed: int = 0)
     return True
 
 
-def rag1_edges_only(n: int, r1: float, r2: float, seed: int):
-    """Positions plus raw edge arrays of ``gen_rag1``, skipping Graph construction.
-
-    Cheap path for Monte-Carlo sweeps that only need degrees/components.
-    """
-    pos = _rag1_positions(n, r1, r2, seed)
-    u, v, _ = _circle_band_pairs(pos, r1, r2)
-    return pos, u, v
-
-
-def _rag1_positions(n: int, r1: float, r2: float, seed) -> np.ndarray:
-    """The positions of a rag1 instance, after checking its band."""
-    if not 0.0 <= r1 <= r2 <= 0.5:
-        raise ValueError(f"need 0 <= r1 <= r2 <= 1/2, got [{r1}, {r2}]")
-    return sample_circle(_seeded(seed), n)
-
-
-def interval_union_edges_only(n: int, intervals: IntervalSet, seed: int):
-    """Positions plus the deduplicated raw edge arrays of ``gen_interval_union_graph``."""
-    rng = _seeded(seed)
-    pos = sample_circle(rng, n)
-    us, vs = [], []
-    for lo, hi in intervals.intervals:
-        u, v, _ = _circle_band_pairs(pos, lo, hi)
-        us.append(u)
-        vs.append(v)
-    if not us:
-        return pos, np.empty(0, np.int64), np.empty(0, np.int64)
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    # bands are disjoint but closed endpoints can coincide; dedupe defensively
-    enc = np.minimum(u, v) * n + np.maximum(u, v)
-    _, keep = np.unique(enc, return_index=True)
-    return pos, u[keep], v[keep]
-
-
 def rag_t_edges_only(n: int, t: int, r1: float, r2: float, seed: int):
     """Positions plus raw edge arrays of ``gen_rag_t``, skipping Graph construction."""
     if not 0.0 <= r1 <= r2 <= 2.0:
@@ -294,5 +281,5 @@ def rag_t_edges_only(n: int, t: int, r1: float, r2: float, seed: int):
 __all__ = [
     "GbmInstance", "IntervalSet", "radius_from_scale",
     "gen_rag1", "gen_gbm1", "gen_rag_t", "gen_gbm_t", "gen_interval_union_graph",
-    "recheck_instance", "rag1_edges_only", "interval_union_edges_only", "rag_t_edges_only",
+    "recheck_instance", "rag_t_edges_only",
 ]

@@ -243,7 +243,7 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
         raise ValueError(f"{len(embeddings)} embeddings for a graph on {n} vertices")
     from .generators import _circle_band_rows
     # rank i stands for vertex order[i], and i + n for order[i] + n
-    order, indptr, cols = _circle_band_rows(embeddings, r_d, r_s)
+    order, indptr, cols = _circle_band_rows(embeddings, [(r_d, r_s)])
     pairs = len(cols)
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     cols = cols.astype(np.int32)

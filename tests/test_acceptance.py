@@ -191,9 +191,8 @@ def test_criterion_5_isolated_vertex_expectation():
     expect1 = ana.isolated_expectation_1d(n1, a1, b1)
     total = 0
     for trial in range(trials):
-        _, u, v = gen.rag1_edges_only(n1, b1 * ln / n1, a1 * ln / n1, (MASTER, 5, trial))
-        deg = np.bincount(u, minlength=n1) + np.bincount(v, minlength=n1)
-        total += int((deg == 0).sum())
+        g, _ = gen.gen_rag1(n1, b1 * ln / n1, a1 * ln / n1, (MASTER, 5, trial))
+        total += int((g.degrees() == 0).sum())
     mean1 = total / trials
     rel1 = abs(mean1 - expect1) / expect1
 
@@ -322,7 +321,7 @@ def test_criterion_8_location_aware_recovery():
     for trial in range(trials):
         inst = gen.gen_gbm1(n, r_s, r_d, (MASTER, 8, trial))
         res = rec.recover_with_locations(inst.graph, inst.embeddings, r_s, r_d)
-        us, vs, _ = gen._circle_band_pairs(inst.embeddings, r_d, r_s)
+        us, vs, _ = gen._circle_band_pairs(inst.embeddings, [(r_d, r_s)])
         band = coo_array((np.ones(len(us)), (us, vs)), shape=(n, n))
         n_comp, comp = connected_components(band, directed=False)
         deg = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)

@@ -148,9 +148,8 @@ class TestIsolated:
         total = 0
         trials = 300
         for trial in range(trials):
-            _, u, v = gen.rag1_edges_only(n, b * ln / n, a * ln / n, (70, 0, trial))
-            deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-            total += int((deg == 0).sum())
+            g, _ = gen.gen_rag1(n, b * ln / n, a * ln / n, (70, 0, trial))
+            total += int((g.degrees() == 0).sum())
         assert abs(total / trials - expect) / expect < 0.2
 
     def test_expectation_hd_degenerate_and_threshold(self):
@@ -179,8 +178,7 @@ class TestLeftDeficiency:
         total = 0
         trials = 500
         for trial in range(trials):
-            pos, u, v = gen.rag1_edges_only(n, 0.0, a * ln / n, (71, 0, trial))
-            g = from_edges(n, u, v)
+            g, pos = gen.gen_rag1(n, 0.0, a * ln / n, (71, 0, trial))
             total += ana.left_deficiency_count(pos, g)
         assert abs(total / trials - expect) / expect < 0.2
 
@@ -240,14 +238,15 @@ class TestPhaseSweep:
 
     @pytest.mark.parametrize("a, b", [(1.6, 1.0), (1.6, 1.3), (0.9, 0.0), (2.5, 2.0)])
     def test_rag1_trial_matches_bfs(self, a, b):
-        # the trial works on rank-order band rows; its tuple must be that of
-        # the vertex-id pairs of rag1_edges_only under a BFS labelling
+        # the trial works on band ranges over ranks; its tuple must be that
+        # of the edges of gen_rag1 under a BFS labelling
         from test_recovery import bfs_components
         n = 3000
         ln = math.log(n)
         for ti in range(4):
             got = ana._phase_trial(("rag1", n, a, b, 0.0, 1, 31, 0, ti))
-            _, u, v = gen.rag1_edges_only(n, b * ln / n, a * ln / n, (31, 0, ti))
+            g, _ = gen.gen_rag1(n, b * ln / n, a * ln / n, (31, 0, ti))
+            u, v = g.edges[:, 0], g.edges[:, 1]
             ncomp = len(np.unique(bfs_components(n, zip(u.tolist(), v.tolist()))))
             iso = int((np.bincount(np.concatenate([u, v]), minlength=n) == 0).sum())
             assert got == (ncomp == 1, iso > 0, ncomp)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import time
 
 import numpy as np
@@ -186,6 +188,34 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "rag", "--n", "100", "--rs", "0.01", "--rd", "0.02"),
+        ("phase", "--n", "100", "--points", "1.0:1.6"),
+        ("phase", "--n", "100", "--points", "1.6:1.0", "--family", "interval_union", "--c", "-1"),
+    ])
+    def test_circle_band_error_names_rule_and_band(self, tmp_path, capsys, argv):
+        if argv[0] == "gen":
+            argv += ("--out", str(tmp_path / "x"))
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 <= lo <= hi <= 1/2, got [")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--n", "100", "--a", "13", "--b", "1"),
+        ("dense", "--n", "100", "--rs", "0.6", "--rd", "0.4"),
+        ("phase", "--n", "100", "--points", "1.6:1.0"),
+    ])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, argv, seed):
+        if argv[0] == "gen":
+            argv += ("--out", str(tmp_path / "x"))
+        assert run_cli(*argv, "--seed", seed) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument --seed: expected an integer >= 0, got {seed!r}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ("thresholds", "--n", "5000", "--a", "nan", "--b", "1"),
         ("thresholds", "--n", "5000", "--a", "13", "--b", "inf"),
         ("thresholds", "--n", "5000", "--a", "13", "--b", "1", "--divergence-target", "nan"),
@@ -261,6 +291,24 @@ def phase_argvs(draw):
 
 
 @st.composite
+def gen_argvs(draw):
+    """`gen` in both families, small sizes (even half of the time, as gbm
+    needs) and drawn scaled or raw radii, ordered outer >= inner half of the
+    time; --out is appended by the test."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        n += n % 2
+    radius = st.one_of(NUMBERS, st.floats(0, 0.5).map(repr))
+    outer, inner = draw(radius), draw(radius)
+    if draw(st.booleans()) and float(outer) < float(inner):
+        outer, inner = inner, outer
+    flags = draw(st.sampled_from([("--a", "--b"), ("--rs", "--rd")]))
+    return ["gen", "--family", draw(st.sampled_from(["gbm", "rag"])), "--n", str(n),
+            "--t", str(draw(st.integers(1, 3))), flags[0], outer, flags[1], inner,
+            "--seed", str(draw(st.integers(0, 2 ** 32)))]
+
+
+@st.composite
 def thresholds_argvs(draw):
     return ["thresholds", "--n", str(draw(st.integers(1, 60))),
             "--a", draw(NUMBERS), "--b", draw(NUMBERS)]
@@ -270,9 +318,9 @@ class TestDrawnInputs:
     """Drawn values end in a documented exit code, never a traceback or a
     non-finite number in the output."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(phase_argvs(), thresholds_argvs()))
-    def test_clean_exit(self, argv):
+    @staticmethod
+    def run_drawn(argv):
+        """(exit code, stdout) of one run, after the checks common to every command."""
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -280,17 +328,36 @@ class TestDrawnInputs:
         assert time.perf_counter() - start < 10.0
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        text = out.getvalue()
         if code != 0:
-            assert text == ""
+            assert out.getvalue() == ""
             assert len(err.getvalue().splitlines()) == 1
-        elif "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        return code, out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(phase_argvs(), thresholds_argvs()))
+    def test_clean_exit(self, argv):
+        code, text = self.run_drawn(argv)
+        if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "csv":
             lines = text.splitlines()
             assert lines[0].startswith("# schema=") and lines[1].startswith("a,b,")
             for line in lines[2:]:
                 assert all(math.isfinite(float(x)) for x in line.split(","))
-        else:
+        elif code == 0:
             json.loads(text, parse_constant=_reject_constant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(gen_argvs())
+    def test_gen_clean_exit(self, argv):
+        with tempfile.TemporaryDirectory() as d:
+            prefix = os.path.join(d, "x")
+            code, text = self.run_drawn(argv + ["--out", prefix])
+            assert text == ""
+            if code == 0:
+                with open(prefix + ".meta.json") as fh:
+                    meta = json.load(fh, parse_constant=_reject_constant)
+                g, t = gr.read_graph(prefix + ".graph.txt")
+                g.validate()
+                assert (g.n, g.m, t) == (meta["n"], meta["m"], meta["params"]["t"])
 
     @pytest.mark.parametrize("out", ["-", "file"])
     def test_overflowing_threshold_is_infeasible(self, tmp_path, capsys, out):

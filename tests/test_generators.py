@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,14 @@ class TestIntervalUnion:
     def test_rejects_overlapping_intervals(self):
         with pytest.raises(ValueError):
             gen.IntervalSet(((0.0, 0.02), (0.01, 0.03)))
+
+    @pytest.mark.parametrize("lo, hi", [(0.02, 0.01), (-0.1, 0.1), (0.1, 0.7)])
+    def test_band_error_names_rule_and_interval(self, lo, hi):
+        message = re.escape(f"need 0 <= lo <= hi <= 1/2, got [{lo}, {hi}]")
+        with pytest.raises(ValueError, match=message):
+            gen.IntervalSet(((lo, hi),))
+        with pytest.raises(ValueError, match=message):
+            gen.gen_rag1(100, lo, hi, seed=0)
 
 
 class TestEquivalenceAndDeterminism:

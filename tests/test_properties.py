@@ -366,13 +366,24 @@ def circle_bands(draw):
     return pos, lo, hi
 
 
+@st.composite
+def circle_band_lists(draw):
+    """(pos, bands): positions on a 1/64 grid with ties, and one to four
+    closed bands on the same grid, in any order: overlapping, nested,
+    touching, lo > hi and hi > 1/2 all arise."""
+    n = draw(st.integers(0, 120))
+    pos = substream(draw(st.integers(0, 2 ** 32 - 1))).integers(0, 64, n) / 64
+    radius = st.integers(0, 48).map(lambda k: k / 64)
+    return pos, draw(st.lists(st.tuples(radius, radius), min_size=1, max_size=4))
+
+
 class TestCircleBandPairs:
     @SETTINGS
     @given(circle_bands())
     def test_matches_brute_force(self, case):
         pos, lo, hi = case
         n = len(pos)
-        order, indptr, cols = gen._circle_band_rows(pos, lo, hi)
+        order, indptr, cols = gen._circle_band_rows(pos, [(lo, hi)])
         # well-formed rank-order rows: ranks sort the positions, and each
         # row's columns lie after it, in range and ascending
         assert np.array_equal(np.sort(order), np.arange(n))
@@ -383,7 +394,7 @@ class TestCircleBandPairs:
         assert np.all((cols > rows) & (cols < n))
         assert np.all(np.diff(rows * max(n, 1) + cols) > 0)
         # the vertex-id view holds every pair at distance in [lo, hi] once
-        u, v, d = gen._circle_band_pairs(pos, lo, hi)
+        u, v, d = gen._circle_band_pairs(pos, [(lo, hi)])
         uu, vv = np.triu_indices(n, 1)
         dist = np.abs(pos[uu] - pos[vv])
         dist = np.minimum(dist, 1 - dist)
@@ -400,12 +411,48 @@ class TestCircleBandPairs:
         # 2000 positions on a 1/64 grid: about 31 vertices share each position
         n = 2000
         pos = substream(37).integers(0, 64, n) / 64
-        u, v, _ = gen._circle_band_pairs(pos, lo, hi)
+        u, v, _ = gen._circle_band_pairs(pos, [(lo, hi)])
         uu, vv = np.triu_indices(n, 1)
         dist = np.abs(pos[uu] - pos[vv])
         dist = np.minimum(dist, 1 - dist)
         band = (dist >= lo) & (dist <= hi)
         assert np.array_equal(np.sort(pair_keys(n, u, v)), pair_keys(n, uu[band], vv[band]))
+
+    @SETTINGS
+    @given(circle_band_lists())
+    def test_band_list_matches_brute_force(self, case):
+        # unsorted, overlapping, nested, touching and empty bands: the rows
+        # hold the union, each pair once and each row ascending
+        pos, bands = case
+        n = len(pos)
+        order, indptr, cols = gen._circle_band_rows(pos, bands)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        assert np.all((cols > rows) & (cols < n))
+        assert np.all(np.diff(rows * max(n, 1) + cols) > 0)
+        u, v, _ = gen._circle_band_pairs(pos, bands)
+        uu, vv = np.triu_indices(n, 1)
+        dist = np.abs(pos[uu] - pos[vv])
+        dist = np.minimum(dist, 1 - dist)
+        union = np.zeros(len(dist), dtype=bool)
+        for lo, hi in bands:
+            union |= (dist >= lo) & (dist <= hi)
+        keys = np.sort(pair_keys(n, u, v))
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(keys, pair_keys(n, uu[union], vv[union]))
+
+    @SETTINGS
+    @given(circle_band_lists(), st.data())
+    def test_split_band_gives_same_pairs(self, case, data):
+        # a band cut at a point c, on the grid or anywhere in it, lists the
+        # pairs of the whole band in the same order
+        pos, bands = case
+        lo, hi = bands[0]
+        lo, hi = min(lo, hi), max(lo, hi)
+        c = data.draw(st.sampled_from([lo, hi, (lo + hi) / 2]) | st.floats(lo, hi))
+        whole = gen._circle_band_pairs(pos, [(lo, hi)])
+        split = gen._circle_band_pairs(pos, [(c, hi), (lo, c)])
+        for a, b in zip(whole, split):
+            assert np.array_equal(a, b)
 
 
 @st.composite
@@ -432,7 +479,7 @@ def band_union_reference(p, bands):
     n = len(p)
     us, vs = [], []
     for lo, hi in bands:
-        order, indptr, cols = gen._circle_band_rows(p, lo, hi)
+        order, indptr, cols = gen._circle_band_rows(p, [(lo, hi)])
         us.append(order[np.repeat(np.arange(n), np.diff(indptr))])
         vs.append(order[cols])
     u, v = np.concatenate(us), np.concatenate(vs)
@@ -452,19 +499,19 @@ class TestCircleBandsConnectivity:
     @pytest.mark.parametrize("a, b", [(1.6, 1.0), (1.6, 1.3), (0.9, 0.0)])
     def test_phase_trial_matches_pair_path(self, family, a, b):
         # the criterion-4 points at n = 5e4: the trial's tuple is that of the
-        # deduplicated vertex-id pairs of the *_edges_only generators; at
-        # b = 0 the short band [0, 0] shares its pairs with the long one
+        # graphs of the generators; at b = 0 the short band [0, 0] shares
+        # its pairs with the long one, and at c = b the two bands touch
         n = 50_000
         c = min(b, 0.5)
         ln = np.log(n)
         for seed in range(3):
             if family == "rag1":
-                _, u, v = gen.rag1_edges_only(n, b * ln / n, a * ln / n, (seed, 0, 0))
+                g, _ = gen.gen_rag1(n, b * ln / n, a * ln / n, (seed, 0, 0))
             else:
                 ivs = gen.IntervalSet(((0.0, c * ln / n), (b * ln / n, a * ln / n)))
-                _, u, v = gen.interval_union_edges_only(n, ivs, (seed, 0, 0))
-            ncomp = rec._components(n, u, v)[0]
-            iso = int((np.bincount(u, minlength=n) + np.bincount(v, minlength=n) == 0).sum())
+                g, _ = gen.gen_interval_union_graph(n, ivs, (seed, 0, 0))
+            ncomp = rec._components(n, g.edges[:, 0], g.edges[:, 1])[0]
+            iso = int((g.degrees() == 0).sum())
             got = ana._phase_trial((family, n, a, b, c, 1, seed, 0, 0))
             assert got == (ncomp == 1, iso > 0, ncomp)
 
