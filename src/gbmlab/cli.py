@@ -12,8 +12,6 @@ malformed value), 2 infeasible parameter regime.
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
 import json
 import math
 import sys
@@ -22,6 +20,7 @@ import numpy as np
 
 from . import SCHEMA, __version__
 from . import analysis, dense, generators, graph as graphio, recovery, thresholds
+from .graph import trim_heap as _trim_heap
 
 
 class _UsageError(Exception):
@@ -350,29 +349,6 @@ _DISPATCH = {
     "recover": _cmd_recover, "recover-hd": _cmd_recover_hd, "recover-loc": _cmd_recover_loc,
     "dense": _cmd_dense, "phase": _cmd_phase, "eval": _cmd_eval,
 }
-
-
-@functools.cache
-def _malloc_trim():
-    """The C library's malloc_trim, or None where it has none."""
-    if not sys.platform.startswith("linux"):
-        return None
-    return getattr(ctypes.CDLL(None), "malloc_trim", None)
-
-
-def _trim_heap() -> None:
-    """Hand the free pages of the heap back to the system.
-
-    glibc keeps freed heap blocks resident, and once a few large blocks have
-    been freed it puts arrays of up to 32 MiB in the heap too.  A command's
-    freed pair-sized arrays could then stay resident, held below a small
-    live object, into whatever the process ran next: running gen, recover,
-    eval and recover-loc at n = 2e4 in one process peaked anywhere from 310
-    to 400 MB from one run to the next.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
 
 
 def run(argv=None) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import geodesic_distance, sample_circle, sample_sphere, squared_chord
-from .graph import Graph, from_edges
+from .graph import Graph, from_edges, trims_heap
 from .rng import substream
 
 
@@ -170,6 +170,7 @@ def gen_rag1(n: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray
     return gen_interval_union_graph(n, IntervalSet(((r1, r2),)), seed)
 
 
+@trims_heap
 def gen_interval_union_graph(n: int, intervals: IntervalSet, seed: int) -> tuple[Graph, np.ndarray]:
     """Circle graph with edge iff distance lies in a union of closed bands."""
     pos = sample_circle(_seeded(seed), n)
@@ -185,6 +186,7 @@ def _planted_labels(n: int) -> np.ndarray:
     return labels
 
 
+@trims_heap
 def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     """Geometric block model on the circle.
 
@@ -221,12 +223,14 @@ def _sphere_pairs_within(x: np.ndarray, lo: float, hi: float):
     return u[keep], v[keep], d2[keep]
 
 
+@trims_heap
 def gen_rag_t(n: int, t: int, r1: float, r2: float, seed: int) -> tuple[Graph, np.ndarray]:
     """Random annulus graph on S^t: edge iff chord distance in [r1, r2]."""
     x, u, v = rag_t_edges_only(n, t, r1, r2, seed)
     return from_edges(n, u, v), x
 
 
+@trims_heap
 def gen_gbm_t(n: int, t: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     """Geometric block model on S^t with chord-distance rule."""
     if not 0.0 <= r_d <= r_s <= 2.0:

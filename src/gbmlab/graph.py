@@ -4,19 +4,41 @@ Stored once, as a CSR-style (indptr, indices) pair holding both
 orientations of every edge in strictly sorted rows.  The unique edge list
 with u < v, which keeps file output canonical, is read off those rows on
 first use (`Graph.edges`), and `Graph.layout` packs them once for
-counting and membership.
+counting and membership.  ``trims_heap`` marks the calls that build
+pair-sized arrays: they hand the heap's free pages back when they end.
 """
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 #: `Graph.packed_rows` sets its bits in chunks of whole rows of about this many entries
 _PACK_CHUNK = 1 << 18
+#: glibc's malloc_trim, or None where there is none
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if sys.platform == "linux" else None
+
+
+def trim_heap() -> None:
+    """Hand the heap's free pages back, which glibc keeps resident (README, "CLI")."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+def trims_heap(fn):
+    """Wrap fn so that the heap is trimmed when it returns or raises."""
+    @wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            trim_heap()
+    return wrapper
 
 
 def _row_chunks(indptr: np.ndarray, size: int):

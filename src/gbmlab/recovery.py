@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph
+from .graph import Graph, trims_heap
 from .thresholds import finite_size_exponent, thresholds_1d, thresholds_hd
 
 UNASSIGNED = -1
@@ -182,6 +182,7 @@ def _filter_and_label(graph: Graph, e_s: float, e_d: Optional[float], thresholds
                           thresholds=thresholds, decisions=decisions)
 
 
+@trims_heap
 def recover_gbm1(graph: Graph, a: float, b: float, *,
                  divergence_target: Optional[float] = None,
                  keep_decisions: bool = False) -> RecoveryResult:
@@ -199,6 +200,7 @@ def recover_gbm1(graph: Graph, a: float, b: float, *,
     return _filter_and_label(graph, thr.E_S * n, e_d, thr, keep_decisions)
 
 
+@trims_heap
 def recover_gbm_hd(graph: Graph, t: int, r_s: float, r_d: float, *,
                    c_s: float = 1.0, c_d: float = 1.0,
                      keep_decisions: bool = False) -> RecoveryResult:
@@ -215,6 +217,7 @@ class LocationRecovery:
     constrained_pairs: int
 
 
+@trims_heap
 def recover_with_locations(graph: Graph, embeddings: np.ndarray,
                            r_s: float, r_d: float) -> LocationRecovery:
     """Recover the bipartition from known circle positions.
