@@ -38,6 +38,3 @@ class TestTrimsHeap:
         b = gen.gen_gbm_t.__wrapped__(300, 2, 0.3, 0.1, 5)
         assert np.array_equal(a.graph.edges, b.graph.edges)
         assert trims == [1]
-
-    def test_trim_runs(self):
-        graph.trim_heap()
