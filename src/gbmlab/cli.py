@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # a token that float() reads, such as -1e308 or -inf, is a flag's value, not an option
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _finite(text: str) -> float:
     """argparse type: a finite float."""
@@ -166,7 +174,7 @@ def build_parser() -> _Parser:
     rl.add_argument("--out", default="-")
 
     dn = sub.add_parser("dense", help="two-phase recovery over an edge-probe oracle")
-    dn.add_argument("--n", type=_positive, required=True)
+    dn.add_argument("--n", type=_at_least(2), required=True)
     dn.add_argument("--t", type=_positive, default=2)
     _add_radii_flags(dn)
     dn.add_argument("--seed", type=_seed, default=0)

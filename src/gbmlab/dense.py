@@ -16,12 +16,12 @@ single pairs as sorted index arrays, plus an n-byte mask of touched
 vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
 held as packed bits, h rows of 2 ceil(h / 64) words (the full rows of
 `Graph.packed_rows`, then zero words), about h^2 / 4 bytes.  It is
-answered one unordered pair at a time and mirrored into those bits, and
-the filter streams over it in row chunks: each chunk's pairs above the
-diagonal are counted by `recovery._window_counts`, the package's one
-counting kernel, and only the pairs the filter keeps are stored.  No
-h x h boolean and no array with an entry per induced edge exists; every
-other temporary is chunk-sized.
+answered one unordered pair at a time and mirrored into those bits.  The
+filter streams over it in row chunks and holds one partition of the
+sample: a chunk's pairs above the diagonal that join two components are
+counted by `recovery._window_counts`, the package's one counting kernel,
+and the kept ones are merged.  No h x h boolean and no pair list exists;
+every other temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -279,46 +279,46 @@ class DenseResult:
     balance_ok: Optional[bool] = None
 
 
-def _subsample_counts(words: np.ndarray, e_s: float,
-                      e_d: Optional[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The induced edges (u, v), u < v, that the filter keeps, and their common-neighbor counts.
+def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np.ndarray:
+    """Component id per sample vertex (smallest member) over the induced edges the filter keeps.
 
-    `words` is the packed block of `query_block_bits`.  It is unpacked in
-    row chunks of about 2^20 cells; each chunk's pairs above the diagonal
-    are counted at once by `_window_counts` on the full rows (W = 111
-    words on `dense-oracle` blocks, every start 0) and kept by `_keep`, so
-    the kept pairs come in row-major order (int32) and no array holds
-    every induced edge.  Raises ValueError when the upper triangle does
-    not hold half the set bits or a column count differs from its row's,
-    two checks that no symmetric block with a zero diagonal and zero
-    padding fails.
+    `words` is the packed block of `query_block_bits`, read in row chunks
+    of about 2^20 cells with one partition `comp` carried across them.  A
+    pair whose ends already share a component cannot change it, so each
+    chunk counts only its other pairs above the diagonal (`_window_counts`
+    on the full rows, every start 0), keeps them by `_keep` and merges the
+    kept ones into `comp`.  By induction over the chunks, the result is
+    `_components` of every kept induced edge, and no pair list is stored.
+    ValueError when the upper triangle does not hold half the set bits or
+    a column count differs from its row's: two symmetry checks that no
+    block with a zero diagonal and zero padding fails.
     """
     h = len(words)
-    packed = words.view(np.uint8)
     starts = np.zeros(h, dtype=np.int64)
     degrees = np.empty(h, dtype=np.int64)
     columns = np.zeros(h, dtype=np.int64)
     upper = 0
-    # one empty part, so that h = 0 joins too
-    kept = [(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0, np.int64))]
+    comp = np.arange(h, dtype=np.int64)
     step = max(1, (1 << 20) // max(h, 1))
     for i0 in range(0, h, step):
         degrees[i0:i0 + step] = np.bitwise_count(words[i0:i0 + step]).sum(axis=1)
-        bits = np.unpackbits(packed[i0:i0 + step], axis=1, count=h)
+        bits = np.unpackbits(words[i0:i0 + step].view(np.uint8), axis=1, count=h)
         columns += np.add.reduce(bits, axis=0, dtype=np.int32)
         # row r of the chunk against the columns from i0 on; above the diagonal where c > r
         r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
         above = c > r
         uu, vv = r[above] + i0, c[above] + i0
         upper += len(uu)
-        counts = _window_counts(words, starts, uu, vv)
-        keep = _keep(counts, e_s, e_d)
-        kept.append((uu[keep].astype(np.int32), vv[keep].astype(np.int32), counts[keep]))
+        apart = comp[uu] != comp[vv]
+        uu, vv = uu[apart], vv[apart]
+        keep = _keep(_window_counts(words, starts, uu, vv), e_s, e_d)
+        if keep.any():
+            # each vertex joined to its component's id and the kept pairs
+            comp = _components(h, np.concatenate([np.arange(h), uu[keep]]),
+                               np.concatenate([comp, vv[keep]]))[1]
     if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
-    # a block passed with no other reference is freed before the kept pairs are joined
-    words = packed = bits = None
-    return tuple(map(np.concatenate, zip(*kept)))
+    return comp
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
@@ -330,10 +330,9 @@ def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
     h, g = plan.h, plan.g
 
     sample = np.sort(rng.choice(n, size=h, replace=False))
-    # phase 1 holds the packed block and the kept pairs, never the h x h
-    # boolean or every induced edge; the counts are dropped at once
-    uu, vv = _subsample_counts(oracle.query_block_bits(sample), plan.E_S, plan.E_D)[:2]
-    local, _ = _label_two_largest(h, _components(h, uu, vv)[1])
+    # phase 1 holds the packed block and one partition, never an h x h boolean or pair list
+    local, _ = _label_two_largest(h, _subsample_counts(oracle.query_block_bits(sample),
+                                                       plan.E_S, plan.E_D))
     c1_local = np.flatnonzero(local == 0)
     c2_local = np.flatnonzero(local == 1)
     phase1_sizes = (int(len(c1_local)), int(len(c2_local)))

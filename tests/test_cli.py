@@ -223,6 +223,7 @@ class TestExitCodes:
         ("gen", "--n", "0", "--a", "13", "--b", "1"),
         ("gen", "--n", "-5", "--a", "13", "--b", "1"),
         ("dense", "--n", "100", "--t", "0", "--rs", "0.6", "--rd", "0.4"),
+        ("dense", "--n", "1", "--rs", "0.6", "--rd", "0.4"),
     ])
     def test_bad_number_is_usage_error(self, tmp_path, capsys, argv):
         if argv[0] == "gen":
@@ -238,6 +239,19 @@ class TestExitCodes:
         assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: argument {flag}: expected an integer >= 1")
+
+    @pytest.mark.parametrize("value", ["-1e308", "-inf", "-nan", "-1e-3"])
+    def test_negative_number_is_a_flag_value(self, tmp_path, capsys, value):
+        # read as the value of --a, so the finite check or the radius check names it
+        assert run_cli("gen", "--n", "100", "--a", value, "--b", "1",
+                       "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        if math.isfinite(float(value)):
+            assert err.startswith("error: need 0 <= r_d <= r_s <= 1/2, got r_s=-")
+        else:
+            assert err.startswith(f"usage error: argument --a: expected a finite number, got {value!r}")
+        assert len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
     def test_huge_divergence_target_ends(self, capsys):
         # the bisection for f1 ends at adjacent floats 6e-8 apart
@@ -309,6 +323,23 @@ def gen_argvs(draw):
 
 
 @st.composite
+def dense_argvs(draw):
+    """`dense` at small sizes, n = 1 and 2 often (n = 1 is a usage error),
+    drawn scaled radii or raw radii in [0, 2], ordered outer >= inner half of
+    the time, and drawn --theta-s and --theta-d."""
+    n = draw(st.one_of(st.integers(1, 2), st.integers(1, 80)))
+    flags = draw(st.sampled_from([("--a", "--b"), ("--rs", "--rd")]))
+    radius = NUMBERS if flags[0] == "--a" else st.floats(0, 2).map(repr)
+    outer, inner = draw(radius), draw(radius)
+    if draw(st.booleans()) and float(outer) < float(inner):
+        outer, inner = inner, outer
+    return ["dense", "--n", str(n), "--t", str(draw(st.integers(1, 3))),
+            flags[0], outer, flags[1], inner,
+            "--theta-s", draw(NUMBERS), "--theta-d", draw(NUMBERS),
+            "--seed", str(draw(st.integers(0, 2 ** 32)))]
+
+
+@st.composite
 def thresholds_argvs(draw):
     return ["thresholds", "--n", str(draw(st.integers(1, 60))),
             "--a", draw(NUMBERS), "--b", draw(NUMBERS)]
@@ -358,6 +389,13 @@ class TestDrawnInputs:
                 g, t = gr.read_graph(prefix + ".graph.txt")
                 g.validate()
                 assert (g.n, g.m, t) == (meta["n"], meta["m"], meta["params"]["t"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(dense_argvs())
+    def test_dense_clean_exit(self, argv):
+        code, text = self.run_drawn(argv)
+        if code == 0:
+            json.loads(text, parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("out", ["-", "file"])
     def test_overflowing_threshold_is_infeasible(self, tmp_path, capsys, out):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbmlab import analysis as ana
 from gbmlab import dense as dn
@@ -229,21 +230,49 @@ def packed(adj):
     return words
 
 
+def kept_partition(adj, e_s, e_d):
+    """Reference for `_subsample_counts`: `_components` of the pairs above the
+    diagonal that `_keep` keeps, every pair counted by the matrix square."""
+    u, v = np.nonzero(np.triu(adj, 1))
+    a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
+    keep = rec._keep((a @ a)[u, v].astype(np.int64), e_s, e_d)
+    return rec._components(len(adj), u[keep], v[keep])[1]
+
+
+@st.composite
+def symmetric_blocks(draw, sizes, densities=st.floats(0, 1)):
+    """A symmetric block of a drawn size and density with a zero diagonal and
+    some empty rows, and thresholds e_s, e_d (None or a number) across its counts."""
+    h = draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(densities)
+    upper = np.triu(rng.random((h, h)) < density, 1)
+    adj = upper | upper.T
+    adj[rng.random(h) < draw(st.floats(0, 0.5))] = False
+    adj &= adj.T
+    # whole numbers, and reals up to twice the mean count h density^2
+    threshold = st.one_of(st.integers(-1, h + 1).map(float),
+                          st.floats(0, 2).map(lambda f: f * h * density ** 2))
+    return adj, draw(threshold), draw(st.one_of(st.none(), threshold))
+
+
 class TestSubsampleCounts:
     @pytest.mark.parametrize("h", [1, 2, 7, 63, 64, 65, 130, 200])
     @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
     def test_matches_matrix_square(self, h, density):
-        # e_s = 0 keeps every pair above the diagonal, in row-major order
+        # the full-row counts of every pair above the diagonal; e_s = 0 keeps them all
         rng = substream(19, h, int(100 * density))
         upper = np.triu(rng.random((h, h)) < density, 1)
         adj = upper | upper.T
         adj[rng.random(h) < 0.2] = False        # some empty rows
         adj &= adj.T
-        uu, vv, counts = dn._subsample_counts(packed(adj), 0, None)
-        want_u, want_v = np.nonzero(np.triu(adj, 1))
-        assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
+        uu, vv = np.nonzero(np.triu(adj, 1))
+        counts = rec._window_counts(packed(adj), np.zeros(h, np.int64), uu, vv)
         a = adj.astype(np.int64)
         assert np.array_equal(counts, (a @ a)[uu, vv])
+        comp = dn._subsample_counts(packed(adj), 0, None)
+        assert comp.shape == (h,)
+        assert np.array_equal(comp, rec._components(h, uu, vv)[1])
 
     def test_several_row_chunks(self):
         # h = 1500 is read in row chunks of 2^20 // 1500 = 699 rows
@@ -251,27 +280,40 @@ class TestSubsampleCounts:
         rng = substream(23)
         upper = np.triu(rng.random((h, h)) < 0.3, 1)
         adj = upper | upper.T
-        uu, vv, counts = dn._subsample_counts(packed(adj), 0, None)
-        want_u, want_v = np.nonzero(upper)
-        assert np.array_equal(uu, want_u) and np.array_equal(vv, want_v)
+        uu, vv = np.nonzero(upper)
+        counts = rec._window_counts(packed(adj), np.zeros(h, np.int64), uu, vv)
         a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
         assert np.array_equal(counts, (a @ a)[uu, vv])
+        assert np.array_equal(dn._subsample_counts(packed(adj), 0, None), kept_partition(adj, 0, None))
 
-    @pytest.mark.parametrize("e_s, e_d", [(60.0, None), (70.0, 50.0), (45.5, 44.5), (1e9, -1.0)])
+    @pytest.mark.parametrize("e_s, e_d", [(60.0, None), (70.0, 50.0), (45.5, 44.5), (1e9, -1.0),
+                                          (80.0, 40.0), (85.0, None)])
     def test_keeps_what_the_keep_rule_keeps(self, e_s, e_d):
         # counts on this block run from 30 to 98 (mean 60), across the thresholds
         h = 1500
         rng = substream(29)
         upper = np.triu(rng.random((h, h)) < 0.2, 1)
         adj = upper | upper.T
-        uu, vv, counts = dn._subsample_counts(packed(adj), e_s, e_d)
-        all_u, all_v = np.nonzero(upper)
-        a = adj.astype(np.float64)
-        all_counts = (a @ a)[all_u, all_v].astype(np.int64)
-        keep = rec._keep(all_counts, e_s, e_d)
-        assert keep.sum() < len(keep)
-        assert np.array_equal(uu, all_u[keep]) and np.array_equal(vv, all_v[keep])
-        assert np.array_equal(counts, all_counts[keep])
+        comp = dn._subsample_counts(packed(adj), e_s, e_d)
+        assert np.array_equal(comp, kept_partition(adj, e_s, e_d))
+        # e_s >= 80 splits the block: into 228, 1323 and 1500 components
+        assert (len(np.unique(comp)) > 1) == (e_s >= 80)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_blocks(st.one_of(st.sampled_from([63, 64, 65]), st.integers(0, 200))))
+    def test_drawn_blocks_match_the_reference(self, drawn):
+        adj, e_s, e_d = drawn
+        assert np.array_equal(dn._subsample_counts(packed(adj), e_s, e_d),
+                              kept_partition(adj, e_s, e_d))
+
+    @settings(max_examples=15, deadline=None)
+    @given(symmetric_blocks(st.integers(1100, 1300), st.floats(0, 0.01)))
+    def test_drawn_blocks_of_two_row_chunks(self, drawn):
+        # h from 1100 to 1300 is read in two row chunks; on these sparse
+        # blocks the second chunk still joins components of the first
+        adj, e_s, e_d = drawn
+        assert np.array_equal(dn._subsample_counts(packed(adj), e_s, e_d),
+                              kept_partition(adj, e_s, e_d))
 
     @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)],
                                        [(0, 1), (2, 1)]])
