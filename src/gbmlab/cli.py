@@ -32,7 +32,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def _parse_optional(self, arg_string):
-        # a token that float() reads, such as -1e308 or -inf, is a flag's value, not an option
+        # a token that float() reads (-1e308, -inf), or that holds ":" before any "=" as no
+        # option name does (a --points value -1:2), is a flag's value, not an option
+        if ":" in arg_string.split("=", 1)[0]:
+            return None
         try:
             float(arg_string)
         except ValueError:
@@ -94,12 +97,11 @@ def _jsonable(x):
     raise TypeError(f"not JSON-serializable: {type(x)}")
 
 
-def _emit_csv(path: str, header: str, rows, config: dict) -> None:
+def _emit_csv(path: str, header: str, rows: np.ndarray, config: dict) -> None:
     stream = _out_stream(path)
     stream.write(f"# schema={SCHEMA} version={__version__} params={json.dumps(config, default=_jsonable)}\n")
     stream.write(header + "\n")
-    for row in rows:
-        stream.write(",".join(str(x) for x in row) + "\n")
+    graphio._write_rows(stream, ",".join(["%s"] * rows.shape[1]) + "\n", rows)
     if stream is not sys.stdout:
         stream.close()
 
@@ -240,8 +242,8 @@ def _cmd_table1(args) -> int:
         _emit_json(args.out, {"params": {"cmd": "table1"},
                               "rows": [{"b": b, "min_a": a} for b, a in table]})
     else:
-        _emit_csv(args.out, "b,min_a", [(b, f"{a:.2f}") for b, a in table],
-                  {"cmd": "table1"})
+        rows = np.array([(b, f"{a:.2f}") for b, a in table], dtype=object)
+        _emit_csv(args.out, "b,min_a", rows, {"cmd": "table1"})
     return 0
 
 
@@ -252,7 +254,7 @@ def _cmd_recover(args) -> int:
                                 keep_decisions=args.decisions_csv is not None)
     if args.decisions_csv and res.decisions is not None:
         _emit_csv(args.decisions_csv, "u,v,count,kept",
-                  res.decisions.tolist(), {"cmd": "recover", "in": args.inp})
+                  res.decisions, {"cmd": "recover", "in": args.inp})
     _emit_json(args.out, {
         "params": {"cmd": "recover", "in": args.inp, "a": args.a, "b": args.b,
                    "divergence_target": res.thresholds.divergence_target},
@@ -328,7 +330,10 @@ def _cmd_phase(args) -> int:
         ab = tok.split(":")
         if len(ab) != 2:
             raise ValueError(f"malformed point {tok!r} in --points; expected a:b")
-        pts.append((float(ab[0]), float(ab[1])))
+        try:
+            pts.append((_finite(ab[0]), _finite(ab[1])))
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"argument --points: {exc} in point {tok!r}") from None
     out = analysis.phase_sweep(args.n, pts, args.trials, args.seed,
                                family=args.family, t=args.t, c=args.c, jobs=args.jobs)
     cfg = {"cmd": "phase", "n": args.n, "trials": args.trials, "seed": args.seed,
@@ -336,8 +341,8 @@ def _cmd_phase(args) -> int:
     if args.format == "json":
         _emit_json(args.out, {"params": cfg, "rows": [vars(p) for p in out]})
     else:
-        rows = [(p.a, p.b, p.trials, p.connected_frac, p.isolated_frac, p.mean_components)
-                for p in out]
+        rows = np.array([(p.a, p.b, p.trials, p.connected_frac, p.isolated_frac,
+                          p.mean_components) for p in out], dtype=object)
         _emit_csv(args.out, "a,b,trials,connected_frac,isolated_frac,mean_components",
                   rows, cfg)
     return 0

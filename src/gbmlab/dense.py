@@ -313,9 +313,9 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
         uu, vv = uu[apart], vv[apart]
         keep = _keep(_window_counts(words, starts, uu, vv), e_s, e_d)
         if keep.any():
-            # each vertex joined to its component's id and the kept pairs
-            comp = _components(h, np.concatenate([np.arange(h), uu[keep]]),
-                               np.concatenate([comp, vv[keep]]))[1]
+            # each id is its component's smallest member, so merging the ids of the
+            # kept pairs' ends gives each old component the smallest id of its new one
+            comp = _components(h, comp[uu[keep]], comp[vv[keep]])[1][comp]
     if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
     return comp

@@ -6,6 +6,8 @@ with u < v, which keeps file output canonical, is read off those rows on
 first use (`Graph.edges`), and `Graph.layout` packs them once for
 counting and membership.  ``trims_heap`` marks the calls that build
 pair-sized arrays: they hand the heap's free pages back when they end.
+Every text file the package writes (graph, embeddings, labels, and the
+CLI's CSV) goes through one row writer, `_write_rows`.
 """
 
 from __future__ import annotations
@@ -233,17 +235,23 @@ def empty_graph(n: int) -> Graph:
 # text formats (ASCII, LF endings)
 # ---------------------------------------------------------------------------
 
-#: write_graph formats this many edges per string
+#: `_write_rows` formats this many rows per string
 _WRITE_CHUNK = 1 << 16
+
+
+def _write_rows(stream, row_format: str, rows: np.ndarray) -> None:
+    """Write each row of the 2-D array `rows` through the one-row `%` format, one string per
+    chunk of rows; an object array keeps mixed values as they are, so `%s` prints `str(x)`."""
+    for i0 in range(0, len(rows), _WRITE_CHUNK):
+        chunk = rows[i0:i0 + _WRITE_CHUNK]
+        stream.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_graph(path: str, graph: Graph, t: int = 1) -> None:
     """Write `n m t` header then one `u v` line per edge, 0-indexed with u < v."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{graph.n} {graph.m} {t}\n")
-        for i0 in range(0, graph.m, _WRITE_CHUNK):
-            chunk = graph.edges[i0:i0 + _WRITE_CHUNK]
-            fh.write(("%d %d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+        _write_rows(fh, "%d %d\n", graph.edges)
 
 
 def read_graph(path: str) -> tuple[Graph, int]:
@@ -278,8 +286,7 @@ def write_embeddings(path: str, embeddings: np.ndarray) -> None:
     """One line per vertex, comma-separated coordinates."""
     pts = np.atleast_2d(np.asarray(embeddings, dtype=float).T).T
     with open(path, "w", newline="\n") as fh:
-        for row in pts:
-            fh.write(",".join(f"{x:.17g}" for x in np.atleast_1d(row)) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * pts.shape[1]) + "\n", pts)
 
 
 def read_embeddings(path: str) -> np.ndarray:
@@ -290,8 +297,7 @@ def read_embeddings(path: str) -> np.ndarray:
 def write_labels(path: str, labels: np.ndarray) -> None:
     """One label per line; -1 denotes unassigned."""
     with open(path, "w", newline="\n") as fh:
-        for x in labels:
-            fh.write(f"{int(x)}\n")
+        _write_rows(fh, "%d\n", np.asarray(labels).reshape(-1, 1))
 
 
 def read_labels(path: str) -> np.ndarray:

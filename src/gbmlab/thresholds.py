@@ -70,9 +70,11 @@ def _grow(pred, hi: float, tries: int) -> float:
 
 
 def solve_f1(b: float, target: float = 1.0) -> float:
-    """Least f > 0 with (2b+f) log((2b+f)/(2b)) - f > target."""
+    """Least f > 0 with (2b+f) log((2b+f)/(2b)) - f > target, for b > 0 and target > 0."""
     if b <= 0:
         raise ValueError("b must be positive")
+    if not target > 0:
+        raise ValueError(f"divergence target must be > 0, got {target}")
 
     def pred(f):
         return (2 * b + f) * math.log((2 * b + f) / (2 * b)) - f > target
@@ -89,6 +91,8 @@ def solve_f2(b: float, target: float = 1.0) -> Optional[float]:
     """
     if b <= 0:
         raise ValueError("b must be positive")
+    if not target > 0:
+        raise ValueError(f"divergence target must be > 0, got {target}")
     if 2 * b <= target:
         return None
 
@@ -144,7 +148,6 @@ def solve_theta2(a: float, b: float, f2: Optional[float], target: float = 1.0) -
         return a
     # phi decreases in y on (0, s2), from +inf down to phi(s2) = 0: the
     # condition phi(y) > target holds exactly for y below the root y2.
-    # Nothing is checked at s2, so a target below 0 gives y2 close to s2.
     y2 = _bisect(lambda y: not _phi(s2, y) > target, 0.0, s2)[0]
     theta2 = max(2 * a - y2, 2 * b, 2 * a - 4 * b + 2 * f2)
     return theta2 if theta2 <= a else a

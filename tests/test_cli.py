@@ -253,6 +253,43 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("thresholds", "--n", "5000", "--a", "13", "--b", "1", "--divergence-target", "0"),
+        ("thresholds", "--n", "5000", "--a", "13", "--b", "1", "--divergence-target", "-1e-3"),
+        ("thresholds", "--n", "5000", "--a", "13", "--b", "1", "--divergence-target", "-1e308"),
+        ("recover", "--a", "13", "--b", "1", "--divergence-target", "0"),
+    ])
+    def test_divergence_target_not_above_zero_is_error(self, tmp_path, capsys, argv):
+        if argv[0] == "recover":
+            assert run_cli("gen", "--n", "500", "--a", "13", "--b", "1",
+                           "--out", str(tmp_path / "x")) == 0
+            argv += ("--in", str(tmp_path / "x.graph.txt"), "--out", str(tmp_path / "r.json"))
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        target = float(argv[argv.index("--divergence-target") + 1])
+        assert captured.err == f"error: divergence target must be > 0, got {target}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("points, value, point", [
+        ("-inf:1", "-inf", "-inf:1"), ("1:nan", "nan", "1:nan"), ("1e999:1", "1e999", "1e999:1"),
+        ("x:1", "x", "x:1"), ("1.6:1.0,-1e999:0", "-1e999", "-1e999:0"),
+    ])
+    def test_non_finite_phase_point_is_usage_error(self, monkeypatch, capsys, points, value, point):
+        monkeypatch.setattr(cli.analysis, "phase_sweep", lambda *a, **k: pytest.fail("ran"))
+        assert run_cli("phase", "--n", "100", "--points", points) == 1
+        assert capsys.readouterr().err == (f"usage error: argument --points: expected a finite "
+                                           f"number, got {value!r} in point {point!r}\n")
+
+    @pytest.mark.parametrize("point", ["-1:2", "-1e308:1", "-0.5:-1"])
+    def test_negative_phase_point_is_a_flag_value(self, capsys, point):
+        # read as the value of --points, so the circle band check names it
+        assert run_cli("phase", "--n", "100", "--points", point) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 <= lo <= hi <= 1/2, got [")
+        assert len(err.splitlines()) == 1
+
     def test_huge_divergence_target_ends(self, capsys):
         # the bisection for f1 ends at adjacent floats 6e-8 apart
         assert run_cli("thresholds", "--n", "5000", "--a", "13", "--b", "1",
@@ -345,6 +382,48 @@ def thresholds_argvs(draw):
             "--a", draw(NUMBERS), "--b", draw(NUMBERS)]
 
 
+@pytest.fixture(scope="class")
+def input_files(tmp_path_factory):
+    """{name: path} of graph and label files for drawn runs: small seeded gen
+    outputs, hand-broken files and a path that does not exist."""
+    d = tmp_path_factory.mktemp("inputs")
+    assert cli.run(["gen", "--n", "60", "--a", "5", "--b", "1", "--seed", "3",
+                    "--out", str(d / "g")]) == 0
+    assert cli.run(["gen", "--n", "40", "--t", "2", "--a", "4", "--b", "1", "--seed", "3",
+                    "--out", str(d / "s")]) == 0
+    gr.write_labels(str(d / "pred.txt"), np.random.default_rng(3).integers(-1, 2, 60))
+    broken = {"no_edges.graph.txt": "4 0 1\n", "loop.graph.txt": "3 1 1\n1 1\n",
+              "token.graph.txt": "3 1 1\n0 x\n", "header.graph.txt": "3 1\n0 1\n",
+              "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
+              "short.txt": "0\n1\n-1\n"}
+    for name, body in broken.items():
+        (d / name).write_text(body)
+    return {p.name: str(p) for p in d.iterdir()} | {"missing": str(d / "missing.txt")}
+
+
+@st.composite
+def recover_argvs(draw, files):
+    """`recover` on a drawn graph file with drawn --a, --b and, half of the
+    time, --divergence-target; --decisions-csv is appended by the test."""
+    graphs = sorted(k for k in files if k.endswith(".graph.txt")) + ["missing"]
+    graph = draw(st.one_of(st.just("g.graph.txt"), st.sampled_from(graphs)))
+    argv = ["recover", "--in", files[graph],
+            "--a", draw(st.one_of(NUMBERS, st.sampled_from(["13", "20"]))),
+            "--b", draw(st.one_of(NUMBERS, st.sampled_from(["1", "0.5"])))]
+    if draw(st.booleans()):
+        argv += ["--divergence-target", draw(NUMBERS)]
+    return argv
+
+
+@st.composite
+def eval_argvs(draw, files):
+    """`eval` on two drawn label files."""
+    labels = ["g.truth.txt", "pred.txt", "s.truth.txt", "empty.txt", "token.txt",
+              "float.txt", "short.txt", "missing"]
+    return ["eval", "--pred", files[draw(st.sampled_from(labels))],
+            "--truth", files[draw(st.sampled_from(labels))]]
+
+
 class TestDrawnInputs:
     """Drawn values end in a documented exit code, never a traceback or a
     non-finite number in the output."""
@@ -395,6 +474,42 @@ class TestDrawnInputs:
     def test_dense_clean_exit(self, argv):
         code, text = self.run_drawn(argv)
         if code == 0:
+            json.loads(text, parse_constant=_reject_constant)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_recover_clean_exit(self, input_files, data):
+        argv = data.draw(recover_argvs(input_files))
+        with tempfile.TemporaryDirectory() as d:
+            csv = os.path.join(d, "dec.csv")
+            decisions = data.draw(st.booleans())
+            code, text = self.run_drawn(argv + ["--decisions-csv", csv] if decisions else argv)
+            if code != 0:
+                return
+            json.loads(text, parse_constant=_reject_constant)
+            g, _ = gr.read_graph(argv[2])
+            assert os.path.exists(csv) == (decisions and g.m > 0)
+            if os.path.exists(csv):
+                with open(csv) as fh:
+                    lines = fh.read().splitlines()
+                assert lines[0].startswith("# schema=") and lines[1] == "u,v,count,kept"
+                rows = np.array([[int(x) for x in line.split(",")] for line in lines[2:]])
+                assert np.array_equal(rows[:, :2], g.edges)
+                assert set(rows[:, 3].tolist()) <= {0, 1} and rows[:, 2].min() >= 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_eval_and_table1_clean_exit(self, input_files, data):
+        table1 = st.sampled_from([["table1"], ["table1", "--format", "csv"],
+                                  ["table1", "--format", "json"]])
+        argv = data.draw(st.one_of(eval_argvs(input_files), table1))
+        code, text = self.run_drawn(argv)
+        if code == 0 and argv[0] == "table1" and "json" not in argv:
+            lines = text.splitlines()
+            assert lines[0].startswith("# schema=") and lines[1] == "b,min_a" and len(lines) == 10
+            for line in lines[2:]:
+                assert all(math.isfinite(float(x)) for x in line.split(","))
+        elif code == 0:
             json.loads(text, parse_constant=_reject_constant)
 
     @pytest.mark.parametrize("out", ["-", "file"])

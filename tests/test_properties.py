@@ -1,15 +1,21 @@
-"""Property tests of the graph core, the sphere band primitive and dense query accounting."""
+"""Property tests of the graph core, the text writers, the sphere band primitive and dense
+query accounting."""
 
+import os
+import tempfile
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmlab import analysis as ana
+from gbmlab import cli
 from gbmlab import dense as dn
 from gbmlab import generators as gen
+from gbmlab import graph as gr
 from gbmlab import recovery as rec
 from gbmlab.geometry import sample_circle, sample_sphere
 from gbmlab.graph import empty_graph, from_edges
@@ -845,3 +851,84 @@ class TestCommonNeighborCounts:
         assert rows.shape[1] == 2 * -(-n // 64) and not starts.any()
         counts = rec.bulk_common_neighbor_counts(g, g.edges[:, 0], g.edges[:, 1])
         assert np.all(counts == n - 2)
+
+
+#: coordinates that print in full only with 17 significant digits, or by sign
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1 - 2 ** -53, 0.5]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+#: CSV cells of every type the CLI writes, and more
+CELLS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                  st.text(alphabet="abz019 .-_:;", max_size=6))
+
+
+class TestTextWriters:
+    """Each writer prints what the per-row formatter it replaced printed, in
+    chunks of 1 to 4 rows here (2^16 in use), and reads back equal."""
+
+    @staticmethod
+    def written(write, read, chunk):
+        """(text, read(path) or None) of the file that write(path) leaves, `chunk` rows a string."""
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(gr, "_WRITE_CHUNK", chunk):
+            path = os.path.join(d, "f.txt")
+            write(path)
+            with open(path, newline="") as fh:
+                return fh.read(), read(path) if read else None
+
+    @SETTINGS
+    @given(edge_lists(allow_repeats=False), st.integers(1, 3), st.integers(1, 4))
+    def test_graph(self, case, t, chunk):
+        g = from_edges(*case)
+        text, (back, t_back) = self.written(lambda p: gr.write_graph(p, g, t), gr.read_graph, chunk)
+        assert text == f"{g.n} {g.m} {t}\n" + "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+        assert t_back == t and back.n == g.n
+        assert np.array_equal(back.indptr, g.indptr) and np.array_equal(back.indices, g.indices)
+
+    @SETTINGS
+    @given(st.integers(0, 30), st.sampled_from([(), (1,), (3,)]), st.data(), st.integers(1, 4))
+    def test_embeddings(self, n, cols, data, chunk):
+        size = n * (cols[0] if cols else 1)
+        pts = np.array(data.draw(st.lists(COORDS, min_size=size, max_size=size)), dtype=float)
+        pts = pts.reshape((n,) + cols)
+        text, back = self.written(lambda p: gr.write_embeddings(p, pts),
+                                  gr.read_embeddings if n else None, chunk)
+        assert text == "".join(",".join(f"{x:.17g}" for x in np.atleast_1d(row)) + "\n"
+                               for row in np.atleast_2d(pts.T).T)
+        if n:
+            want = pts if cols == (3,) else pts.reshape(n)
+            assert back.shape == want.shape and np.array_equal(back, want)
+            assert np.array_equal(np.signbit(back), np.signbit(want))
+
+    @SETTINGS
+    @given(st.lists(st.one_of(st.just(-1), st.integers(-1, 2 ** 62))),
+           st.sampled_from([np.int64, np.int32, object]), st.integers(1, 4))
+    def test_labels(self, values, dtype, chunk):
+        if dtype is np.int32:
+            values = [min(x, 2 ** 31 - 1) for x in values]
+        labels = np.array(values, dtype=dtype)
+        text, back = self.written(lambda p: gr.write_labels(p, labels),
+                                  gr.read_labels if values else None, chunk)
+        assert text == "".join(f"{int(x)}\n" for x in labels)
+        if values:
+            assert back.dtype == np.int64 and back.tolist() == values
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data(), st.integers(1, 4))
+    def test_csv(self, ncols, data, chunk):
+        header = ",".join(f"c{j}" for j in range(ncols))
+        if data.draw(st.booleans()):
+            table = data.draw(st.lists(st.tuples(*[CELLS] * ncols), min_size=1, max_size=20))
+            rows = np.array(table, dtype=object)
+        else:
+            # an integer array, as recover's decisions are
+            ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+            rows = np.array(data.draw(st.lists(st.tuples(*[ints] * ncols), min_size=1,
+                                               max_size=20)), dtype=np.int64)
+            table = rows.tolist()
+        assert rows.shape == (len(table), ncols)
+        text, _ = self.written(lambda p: cli._emit_csv(p, header, rows, {"cmd": "test"}),
+                               None, chunk)
+        comment, head, body = text.split("\n", 2)
+        assert comment.startswith("# schema=gbm-lab/1 ")
+        assert comment.endswith('params={"cmd": "test"}')
+        assert head == header
+        assert body == "".join(",".join(str(x) for x in row) + "\n" for row in table)

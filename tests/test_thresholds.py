@@ -194,11 +194,14 @@ class TestBisection:
         lo, hi = th._bisect(lambda x: x >= f1, 0.0, 2 * f1)
         assert hi == f1 and lo == np.nextafter(f1, 0.0)
 
-    def test_negative_target_still_gives_thresholds(self):
-        # phi >= 0 exceeds any negative target: theta2's bisection runs to s2
-        # and the long-distance band is absent, with no check at s2
-        ts = th.thresholds_1d(5000, 13.0, 1.0, -0.5)
-        assert ts.theta2 == 13.0 and ts.E_D is not None
+    @pytest.mark.parametrize("target", [-0.5, 0.0, -0.0, -1e308, float("nan")])
+    def test_target_not_above_zero_is_rejected(self, target):
+        # every objective starts at 0, so such a target would be met at once
+        for solve in (th.solve_f1, th.solve_f2):
+            with pytest.raises(ValueError, match="divergence target must be > 0"):
+                solve(1.0, target)
+        with pytest.raises(ValueError, match="divergence target must be > 0"):
+            th.thresholds_1d(5000, 13.0, 1.0, target)
 
 
 class TestThresholds1D:
