@@ -14,13 +14,13 @@ The oracle counts distinct pairs from a record of what it probed, not
 from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
 single pairs as sorted index arrays, plus an n-byte mask of touched
 vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
-held as packed bits, h rows of 2 ceil(h / 64) words (the full rows of
-`Graph.packed_rows`, then zero words), about h^2 / 4 bytes.  It is
-answered one unordered pair at a time and mirrored into those bits.  The
-filter streams over it in row chunks and holds one partition of the
-sample: a chunk's pairs above the diagonal that join two components are
-counted by `recovery._window_counts`, the package's one counting kernel,
-and the kept ones are merged.  No h x h boolean and no pair list exists;
+held as packed bits, h rows of ceil(h / 64) words (the full rows of
+`Graph.packed_rows`), about h^2 / 8 bytes.  It is answered one unordered
+pair at a time and mirrored into those bits.  The filter streams over it
+in row chunks and holds one partition of the sample: a chunk's pairs
+above the diagonal that join two components are counted by
+`recovery._window_counts`, the package's one counting kernel, and the
+kept ones are merged.  No h x h boolean and no pair list exists;
 every other temporary is chunk-sized.
 """
 
@@ -49,10 +49,10 @@ def _chunk_rows(width: int) -> int:
 
 
 def _zero_block(h: int) -> tuple[np.ndarray, int]:
-    """The zeroed (h, 2 ceil(h / 64)) uint64 words of a size-h packed block,
+    """The zeroed (h, ceil(h / 64)) uint64 words of a size-h packed block,
     and the rows per answer chunk: about 2^19 cells, a multiple of 8 so
     that `_mirror_bits` writes whole bytes."""
-    return np.zeros((h, 2 * -(-h // 64)), dtype=np.uint64), 8 * max(1, _chunk_rows(h) // 8)
+    return np.zeros((h, -(-h // 64)), dtype=np.uint64), 8 * max(1, _chunk_rows(h) // 8)
 
 
 def _mirror_bits(words: np.ndarray, i0: int, answers: np.ndarray) -> None:
@@ -164,11 +164,10 @@ class EdgeOracle:
     def query_block_bits(self, sample) -> np.ndarray:
         """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency as packed bits.
 
-        Row i of the (h, 2 ceil(h / 64)) uint64 result is sample[i]'s row:
-        column j in bit 7 - j % 8 of byte j // 8 (np.packbits order), then
-        as many zero words, which is the full-row case of
-        `Graph.packed_rows` (every window start 0).  The diagonal and the
-        bits past column h - 1 are 0.
+        Row i of the (h, ceil(h / 64)) uint64 result is sample[i]'s row:
+        column j in bit 7 - j % 8 of byte j // 8 (np.packbits order), the
+        full-row case of `Graph.packed_rows` (every window start 0).  The
+        diagonal and the bits past column h - 1 are 0.
         """
         sample = np.asarray(sample, dtype=np.int64).ravel()
         ssample = _distinct(sample)
@@ -291,7 +290,7 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
     `_components` of every kept induced edge, and no pair list is stored.
     ValueError when the upper triangle does not hold half the set bits or
     a column count differs from its row's: two symmetry checks that no
-    block with a zero diagonal and zero padding fails.
+    block with a zero diagonal and zero bits past column h - 1 fails.
     """
     h = len(words)
     starts = np.zeros(h, dtype=np.int64)

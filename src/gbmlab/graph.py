@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, wraps
 
@@ -92,13 +93,12 @@ class Graph:
         if min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= self.n:
             raise ValueError("vertex id out of range")
         pos, rows, starts = self.layout
-        w = rows.shape[1] // 2
+        bits = 64 * rows.shape[1]
         pu = pos[us]
-        # bit pos[v] - 64 s of row pos[u]'s window at word s; outside it, bit 64 W of the padding
-        off = pos[vs] - 64 * starts[pu]
-        off[(off < 0) | (off >= 64 * w)] = 64 * w
-        off += pu * np.int64(128 * w)
-        return (rows.view(np.uint8).ravel()[off >> 3] << (off & 7).astype(np.uint8)) >= 128
+        off = pos[vs] - 64 * starts[pu]        # bit of column pos[v] in row pos[u]'s window
+        inside = (off >= 0) & (off < bits)     # a column outside the window is no edge
+        off = np.clip(off, 0, bits - 1, out=off) + pu * np.int64(bits)
+        return inside & ((rows.view(np.uint8).ravel()[off >> 3] << (off & 7).astype(np.uint8)) >= 128)
 
     def adjacency_bool(self) -> np.ndarray:
         """Dense (n, n) boolean adjacency. Intended for n up to ~2e4."""
@@ -114,19 +114,17 @@ class Graph:
         nw = ceil(n / 64), W = min(nw, floor(2 bw / 64) + 2), and the window
         of row i starts at word s_i = clip(floor((i - bw) / 64), 0, nw - W),
         which holds every column within bw of i.  Returns the starts s and
-        an (n, 2W) array: row i's window, then W zero words, which
-        `recovery._window_counts` shifts in and `has_edges` reads for a
-        column outside the window.  Column c of row i is bit c - 64 s_i of
-        the window in np.packbits order (the first column in the most
-        significant bit of byte 0).  When bw is close to n, W = nw and every
-        s_i = 0: the full rows.
+        the (n, W) array of the windows, 8 n W bytes.  Column c of row i is
+        bit c - 64 s_i of the window in np.packbits order (the first column
+        in the most significant bit of byte 0).  When bw is close to n,
+        W = nw and every s_i = 0: the full rows.
 
         The bandwidth and the bits are both taken over chunks of whole CSR
         rows holding about 2^18 entries, so besides the packing the call
         holds a few chunk-sized index arrays, none of 2m entries.
         """
         n = self.n
-        # int64 whatever the caller's order dtype: byte offsets reach 16 n W
+        # int64 whatever the caller's order dtype: byte offsets reach 8 n W
         pos = np.asarray(pos, dtype=np.int64)
         chunks = list(_row_chunks(self.indptr, _PACK_CHUNK))
 
@@ -146,13 +144,13 @@ class Graph:
         nw = -(-n // 64)
         w = min(nw, 2 * bw // 64 + 2)
         starts = np.clip((np.arange(n, dtype=np.int64) - bw) // 64, 0, nw - w)
-        flat = np.zeros(n * 16 * w, dtype=np.uint8)
+        flat = np.zeros(n * 8 * w, dtype=np.uint8)
         for i0, i1 in chunks:
             rows, cols = entries(i0, i1)
             bits = np.left_shift(np.uint8(1), np.uint8(7) - (cols.astype(np.uint8) & np.uint8(7)))
-            # the byte of column c in row i: 8 (2 W i - s_i) + c // 8, built in place
+            # the byte of column c in row i: 8 (W i - s_i) + c // 8, built in place
             off = starts[rows]
-            rows *= 2 * w
+            rows *= w
             rows -= off
             rows <<= 3
             cols >>= 3
@@ -160,14 +158,14 @@ class Graph:
             # neighbors are distinct, so adding distinct bits of one byte is an or
             np.add.at(flat, rows, bits)
             del rows, cols, off, bits
-        return flat.view(np.uint64).reshape(n, 2 * w), starts
+        return flat.view(np.uint64).reshape(n, w), starts
 
     @cached_property
     def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(pos, *packed_rows(pos)) with pos[u] the place of u in reverse Cuthill-McKee order.
 
         The graph's one adjacency index, shared by counting and `has_edges`,
-        which must not write to it: 16 n W bytes, built on first use (about
+        which must not write to it: 8 n W bytes, built on first use (about
         5 ms at 1.1e5 edges) and kept.
         """
         # scipy cannot order an empty matrix
@@ -290,7 +288,9 @@ def write_embeddings(path: str, embeddings: np.ndarray) -> None:
 
 
 def read_embeddings(path: str) -> np.ndarray:
-    out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     return out[:, 0] if out.shape[1] == 1 else out
 
 
@@ -301,4 +301,6 @@ def write_labels(path: str, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, dtype=np.int64, ndmin=1)

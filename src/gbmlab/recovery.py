@@ -75,17 +75,17 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """popcount(row lo & row hi) for bit-packed rows held in windows of W words.
 
-    The one common-neighbor kernel.  `rows` is (n, 2W): row i's window,
-    words starts[i] to starts[i] + W - 1 of its full row, then W zero
-    words.  starts must not decrease with i, and each pair must have
-    lo <= hi.  With d = starts[hi] - starts[lo] (capped at W), words d to
-    d + W - 1 of row lo line up with the window of row hi, so each pair is
-    one AND of two W-word rows, the first read from a sliding-window view.
-    Pairs go in chunks of about 2^16 words.
+    The one common-neighbor kernel.  `rows` is (n, W): row i's window,
+    words starts[i] to starts[i] + W - 1 of its full row.  starts must
+    not decrease with i, and each pair must have lo <= hi.  With
+    d = starts[hi] - starts[lo] (capped at W), words d to d + W - 1 of
+    row lo, padded by W zero words in a copy made once per call, line up
+    with the window of row hi, so each pair is one AND of two W-word rows,
+    the first read from a sliding-window view.  With every start 0, d is
+    0 and no copy is made.  Pairs go in chunks of about 2^16 words.
     """
-    w = rows.shape[1] // 2
-    windows = rows[:, :w]
-    shifted = sliding_window_view(rows, w, axis=1)
+    w = rows.shape[1]
+    shifted = sliding_window_view(np.pad(rows, ((0, 0), (0, w))) if starts.any() else rows, w, axis=1)
     # a count is an integer of at most 64 W, exact in float32 while
     # 64 W <= 2^24 (true for every n <= 2^24); a float32 matrix-vector
     # product sums the popcounts faster than an integer row sum
@@ -95,7 +95,7 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     for i0 in range(0, len(lo), step):
         a, b = lo[i0:i0 + step], hi[i0:i0 + step]
         d = np.minimum(starts[b] - starts[a], w)
-        counts[i0:i0 + step] = np.bitwise_count(shifted[a, d] & windows[b]).astype(np.float32) @ ones
+        counts[i0:i0 + step] = np.bitwise_count(shifted[a, d] & rows[b]).astype(np.float32) @ ones
     return counts
 
 
@@ -202,11 +202,10 @@ def recover_gbm1(graph: Graph, a: float, b: float, *,
 
 @trims_heap
 def recover_gbm_hd(graph: Graph, t: int, r_s: float, r_d: float, *,
-                   c_s: float = 1.0, c_d: float = 1.0,
-                     keep_decisions: bool = False) -> RecoveryResult:
+                   c_s: float = 1.0, c_d: float = 1.0) -> RecoveryResult:
     """Same pipeline with absolute-count thresholds for sphere instances."""
     thr = thresholds_hd(graph.n, t, r_s, r_d, c_s, c_d)
-    return _filter_and_label(graph, thr.E_S, thr.E_D, thr, keep_decisions)
+    return _filter_and_label(graph, thr.E_S, thr.E_D, thr, keep_decisions=False)
 
 
 @dataclass

@@ -382,10 +382,53 @@ def thresholds_argvs(draw):
             "--a", draw(NUMBERS), "--b", draw(NUMBERS)]
 
 
+@st.composite
+def radii_flags(draw):
+    """Drawn radii: a scaled or raw pair that the small gen files suit half of
+    the time, else drawn values (raw ones in [0, 2] half of the time) ordered
+    outer >= inner half of the time; now and then a mixed pair or a lone flag."""
+    flags = draw(st.one_of(st.sampled_from([("--a", "--b"), ("--rs", "--rd")]),
+                           st.sampled_from([("--a", "--rd"), ("--rs",), ()])))
+    radius = NUMBERS if "--a" in flags else st.one_of(NUMBERS, st.floats(0, 2).map(repr))
+    suited = ("4", "1") if "--a" in flags else ("0.6", "0.2")
+    outer, inner = draw(st.one_of(st.just(suited), st.tuples(radius, radius)))
+    if draw(st.booleans()) and float(outer) < float(inner):
+        outer, inner = inner, outer
+    return [x for flag, value in zip(flags, (outer, inner)) for x in (flag, value)]
+
+
+@st.composite
+def recover_hd_argvs(draw, files):
+    """`recover-hd` on a drawn graph file with drawn --t, radii and, half of
+    the time, --cs and --cd."""
+    graphs = sorted(k for k in files if k.endswith(".graph.txt")) + ["missing"]
+    graph = draw(st.one_of(st.just("s.graph.txt"), st.sampled_from(graphs)))
+    argv = ["recover-hd", "--in", files[graph], "--t", str(draw(st.integers(1, 3)))]
+    argv += draw(radii_flags())
+    if draw(st.booleans()):
+        factor = st.one_of(NUMBERS, st.sampled_from(["1", "2", "0.5"]))
+        argv += ["--cs", draw(factor), "--cd", draw(factor)]
+    return argv
+
+
+@st.composite
+def recover_loc_argvs(draw, files):
+    """`recover-loc` on a drawn graph file and embeddings file with drawn radii;
+    the circle instance's two files together half of the time."""
+    graphs = sorted(k for k in files if k.endswith(".graph.txt")) + ["missing"]
+    embeddings = sorted(k for k in files if k.endswith(".embeddings.txt")) + ["empty.txt",
+                                                                             "missing"]
+    if draw(st.booleans()):
+        graph, emb = "g.graph.txt", "g.embeddings.txt"
+    else:
+        graph, emb = draw(st.sampled_from(graphs)), draw(st.sampled_from(embeddings))
+    return ["recover-loc", "--in", files[graph], "--embeddings", files[emb]] + draw(radii_flags())
+
+
 @pytest.fixture(scope="class")
 def input_files(tmp_path_factory):
-    """{name: path} of graph and label files for drawn runs: small seeded gen
-    outputs, hand-broken files and a path that does not exist."""
+    """{name: path} of graph, embeddings and label files for drawn runs: small
+    seeded gen outputs, hand-broken files and a path that does not exist."""
     d = tmp_path_factory.mktemp("inputs")
     assert cli.run(["gen", "--n", "60", "--a", "5", "--b", "1", "--seed", "3",
                     "--out", str(d / "g")]) == 0
@@ -395,7 +438,10 @@ def input_files(tmp_path_factory):
     broken = {"no_edges.graph.txt": "4 0 1\n", "loop.graph.txt": "3 1 1\n1 1\n",
               "token.graph.txt": "3 1 1\n0 x\n", "header.graph.txt": "3 1\n0 1\n",
               "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
-              "short.txt": "0\n1\n-1\n"}
+              "short.txt": "0\n1\n-1\n", "token.embeddings.txt": "0.1\nx\n",
+              "nonfinite.embeddings.txt": "0.1\nnan\n0.3\ninf\n",
+              "ragged.embeddings.txt": "0.1,0.2\n0.3\n0.4,0.5\n0.6,0.7\n",
+              "wide.embeddings.txt": "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n"}
     for name, body in broken.items():
         (d / name).write_text(body)
     return {p.name: str(p) for p in d.iterdir()} | {"missing": str(d / "missing.txt")}
@@ -496,6 +542,17 @@ class TestDrawnInputs:
                 rows = np.array([[int(x) for x in line.split(",")] for line in lines[2:]])
                 assert np.array_equal(rows[:, :2], g.edges)
                 assert set(rows[:, 3].tolist()) <= {0, 1} and rows[:, 2].min() >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_recover_hd_and_loc_clean_exit(self, input_files, data):
+        argv = data.draw(st.one_of(recover_hd_argvs(input_files), recover_loc_argvs(input_files)))
+        code, text = self.run_drawn(argv)
+        if code == 0:
+            out = json.loads(text, parse_constant=_reject_constant)
+            g, _ = gr.read_graph(argv[2])
+            labels = out["labels"]
+            assert labels is None or (len(labels) == g.n and set(labels) <= {-1, 0, 1})
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

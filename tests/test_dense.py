@@ -66,7 +66,7 @@ class TestEdgeOracle:
         # the graph's row windows (W = 21 words) are narrower than its full rows (32)
         n, t, r_s, r_d = 2000, 2, 0.6, 0.4
         inst = gen.gen_gbm_t(n, t, r_s, r_d, seed=11)
-        assert inst.graph.layout[1].shape[1] // 2 < -(-n // 64)
+        assert inst.graph.layout[1].shape[1] < -(-n // 64)
         plan = th.dense_plan(n, t, r_s, r_d)
         got = dn.dense_recover(dn.GraphEdgeOracle(inst.graph), n, t, r_s, r_d, plan, seed=5)
         want = dn.dense_recover(dn.GbmEdgeOracle(inst.embeddings, inst.truth, r_s, r_d),
@@ -223,9 +223,9 @@ class TestQueryCross:
 
 
 def packed(adj):
-    """The `query_block_bits` words of a boolean block: packed rows, then zero words."""
+    """The `query_block_bits` words of a boolean block: its packed full rows."""
     h = len(adj)
-    words = np.zeros((h, 2 * -(-h // 64)), dtype=np.uint64)
+    words = np.zeros((h, -(-h // 64)), dtype=np.uint64)
     words.view(np.uint8)[:, :-(-h // 8)] = np.packbits(adj, axis=1)
     return words
 
@@ -285,6 +285,25 @@ class TestSubsampleCounts:
         a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
         assert np.array_equal(counts, (a @ a)[uu, vv])
         assert np.array_equal(dn._subsample_counts(packed(adj), 0, None), kept_partition(adj, 0, None))
+
+    def test_full_rows_are_counted_without_a_copy(self):
+        # with every start 0 the kernel reads the block in place: 200 pairs of
+        # 64-word rows hold about 100 kB of temporaries, not a padded 4 MB copy
+        h = 4096
+        rng = substream(37)
+        upper = np.triu(rng.random((h, h)) < 0.1, 1)
+        adj = upper | upper.T
+        words = packed(adj)
+        uu, vv = np.sort(rng.integers(0, h, (2, 200)), axis=0)
+        tracemalloc.start()
+        try:
+            counts = rec._window_counts(words, np.zeros(h, np.int64), uu, vv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < words.nbytes // 4
+        a = adj.astype(np.float64)
+        assert np.array_equal(counts, (a @ a)[uu, vv])
 
     @pytest.mark.parametrize("e_s, e_d", [(60.0, None), (70.0, 50.0), (45.5, 44.5), (1e9, -1.0),
                                           (80.0, 40.0), (85.0, None)])

@@ -128,18 +128,22 @@ class TestFromEdges:
         nw = -(-n // 64)
         bw = int(np.abs(pos[u] - pos[v]).max(initial=0))
         w = min(nw, 2 * bw // 64 + 2)
-        assert rows.shape == (n, 2 * w) and rows.dtype == np.uint64
-        assert not rows[:, w:].any()
-        words = rows[:, :w]
+        assert rows.shape == (n, w) and rows.dtype == np.uint64
         assert np.array_equal(starts, np.clip((np.arange(n) - bw) // 64, 0, nw - w))
         full = np.zeros((n, nw), dtype=np.uint64)
         for i in range(n):
-            full[i, starts[i]:starts[i] + w] = words[i]
+            full[i, starts[i]:starts[i] + w] = rows[i]
         adj = np.zeros((n, n), dtype=bool)
         adj[np.ix_(pos, pos)] = g.adjacency_bool()
         bits = np.packbits(adj, axis=1)
         bits = np.concatenate([bits, np.zeros((n, 8 * nw - bits.shape[1]), np.uint8)], axis=1)
         assert np.array_equal(full, bits.view(np.uint64))
+        # the layout stores the windows of its own order and nothing more: 8 n W bytes
+        lpos, lrows, lstarts = g.layout
+        lbw = int(np.abs(lpos[u] - lpos[v]).max(initial=0))
+        lw = min(nw, 2 * lbw // 64 + 2)
+        assert lrows.shape == (n, lw) and lrows.nbytes == 8 * n * lw
+        assert all(np.array_equal(a, b) for a, b in zip((lrows, lstarts), g.packed_rows(lpos)))
 
     @SETTINGS
     @given(edge_lists(max_n=100, allow_repeats=False), st.data())
@@ -163,7 +167,7 @@ class TestFromEdges:
         inst = gen.gen_gbm1(n, gen.radius_from_scale(6, n), gen.radius_from_scale(1, n), seed=7)
         g = from_edges(n + 5, inst.graph.edges[:, 0], inst.graph.edges[:, 1])
         pos, rows, starts = g.layout
-        w = rows.shape[1] // 2
+        w = rows.shape[1]
         assert w < -(-g.n // 64)
         order = np.argsort(pos)
         rng = substream(31)
@@ -190,6 +194,19 @@ class TestFromEdges:
         e = empty_graph(g.n)
         assert not e.has_edges(us, vs).any()
         assert e.has_edges(us[:0], vs[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("k", [63, 64, 65, 128])
+    def test_has_edges_every_pair_of_band_graphs(self, k):
+        # u ~ v iff 0 < |u - v| <= k: the bandwidth is k, so where i - k or
+        # i + k is a window's first or last column, that edge bit lies next
+        # to the columns outside the window
+        n = 700
+        gap = np.subtract.outer(np.arange(n), np.arange(n))
+        g = from_edges(n, *np.nonzero((gap > 0) & (gap <= k)))
+        pos, rows, starts = g.layout
+        assert rows.shape[1] < -(-n // 64) and starts.any()
+        every = np.arange(n)
+        assert np.array_equal(g.has_edges(every[:, None], every[None, :]), g.adjacency_bool())
 
     @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (5, 0), (0, 5)])
     def test_has_edges_rejects_out_of_range(self, u, v):
@@ -753,7 +770,7 @@ class TestSymmetricBlock:
         oracle, twin = make(), make()
         words = oracle.query_block_bits(sample)
         nw = -(-h // 64)
-        assert words.dtype == np.uint64 and words.shape == (h, 2 * nw)
+        assert words.dtype == np.uint64 and words.shape == (h, nw) and words.nbytes == 8 * h * nw
         bits = np.unpackbits(words.view(np.uint8), axis=1).view(bool)
         got = bits[:, :h]
         want = rule[np.ix_(sample, sample)] & ~np.eye(h, dtype=bool)
@@ -840,7 +857,7 @@ class TestCommonNeighborCounts:
         chunk = 8 << 18        # one int64 array of a chunk's 2^18 entries
         assert len(g.indices) > 990_000
         assert peak < rows.nbytes + starts.nbytes + 5 * chunk
-        assert rows.shape == (n, 2 * (2 * k // 64 + 2))
+        assert rows.shape == (n, 2 * k // 64 + 2)
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 130, 200])
     def test_complete_graph_full_width(self, n):
@@ -848,7 +865,7 @@ class TestCommonNeighborCounts:
         u, v = np.triu_indices(n, 1)
         g = from_edges(n, u, v)
         rows, starts = g.packed_rows(np.arange(n))
-        assert rows.shape[1] == 2 * -(-n // 64) and not starts.any()
+        assert rows.shape[1] == -(-n // 64) and not starts.any()
         counts = rec.bulk_common_neighbor_counts(g, g.edges[:, 0], g.edges[:, 1])
         assert np.all(counts == n - 2)
 
