@@ -10,7 +10,6 @@ report empirical frequencies.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +255,8 @@ def phase_sweep(n: int, points, trials: int, seed: int,
     tasks = [(family, n, float(a), float(b), c, t, seed, gi, ti)
              for gi, (a, b) in enumerate(points) for ti in range(trials)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_phase_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:

@@ -255,7 +255,7 @@ class GbmEdgeOracle(EdgeOracle):
             rows, cols = idx[i0:i0 + step, None], idx[i0:]
             d2 = squared_chord(xs, rows, cols)
             same = labels[rows] == labels[cols]
-            _mirror_bits(words, i0, np.where(same, d2 <= self._thr2[0], d2 <= self._thr2[1]))
+            _mirror_bits(words, i0, d2 <= np.where(same, self._thr2[0], self._thr2[1]))
         return words
 
 

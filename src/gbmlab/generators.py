@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import geodesic_distance, sample_circle, sample_sphere, squared_chord
 from .graph import Graph, from_edges, trims_heap
@@ -216,6 +215,8 @@ def _sphere_pairs_within(x: np.ndarray, lo: float, hi: float):
     is then decided by d2 = ``squared_chord(x, u, v)`` against lo^2 and
     hi^2, the formula of ``recheck_instance`` and of the dense oracle.
     """
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(x).query_pairs(hi * (1.0 + 1e-9), output_type="ndarray")
     u, v = pairs[:, 0], pairs[:, 1]
     d2 = squared_chord(x, u, v)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
-from scipy.special import beta, betainc, gamma
 
 from .rng import normal_rows
 
@@ -102,6 +100,8 @@ def _polar_cap(m: int, sin2: float, within_hemisphere: bool) -> float:
 
     The regularized incomplete beta identity behind every cap area here.
     """
+    from scipy.special import betainc
+
     half = 0.5 * betainc(0.5 * m, 0.5, sin2)
     return float(half if within_hemisphere else 1.0 - half)
 
@@ -133,6 +133,8 @@ def cap_area_small_r(t: int, r: float) -> float:
 
     Asymptotic cross-check only; use cap_fraction for exact values.
     """
+    from scipy.special import gamma
+
     t = _check_dimension(t)
     c_t = math.pi ** (0.5 * t) / gamma(0.5 * t + 1.0)
     return c_t * float(r) ** t / sphere_surface_area(t)
@@ -140,6 +142,8 @@ def cap_area_small_r(t: int, r: float) -> float:
 
 def sphere_surface_area(t: int) -> float:
     """Total surface area of S^t embedded in R^(t+1)."""
+    from scipy.special import gamma
+
     t = _check_dimension(t)
     return (t + 1) * math.pi ** (0.5 * (t + 1)) / gamma(0.5 * (t + 3))
 
@@ -150,6 +154,8 @@ def psi(t: int) -> float:
     Equals |S^t| / c_t, the reciprocal of the leading cap-area constant.
     psi(1) = pi, psi(2) = 4, psi(3) = 3 pi / 2.
     """
+    from scipy.special import gamma
+
     t = _check_dimension(t)
     return math.sqrt(math.pi) * (t + 1) * gamma(0.5 * (t + 2)) / gamma(0.5 * (t + 3))
 
@@ -173,6 +179,9 @@ def _lens_sphere(t: int, a1: float, a2: float, g: float) -> float:
     and above g + a2, and smooth in between.  The stretches where F = 1
     are closed-form polar caps; quad runs between the kinks only.
     """
+    from scipy.integrate import quad
+    from scipy.special import beta, betainc
+
     def cap(b: float) -> float:
         return _polar_cap(t, math.sin(b) ** 2, b <= 0.5 * math.pi)
 
@@ -189,12 +198,15 @@ def _lens_sphere(t: int, a1: float, a2: float, g: float) -> float:
             # products of sines that keep their precision near the kinks
             p = math.sin(0.5 * (a2 + theta - g)) * math.sin(0.5 * (a2 - theta + g))
             q = math.sin(0.5 * (theta + g + a2)) * math.sin(0.5 * (theta + g - a2))
-            return math.sin(theta) ** (t - 1) * _polar_cap(t - 1, 4.0 * p * q / (p + q) ** 2, q >= p)
+            # _polar_cap(t - 1, 1 - c^2, c >= 0), inlined so that quad's calls
+            # do not each run _polar_cap's import
+            half = 0.5 * betainc(0.5 * (t - 1), 0.5, 4.0 * p * q / (p + q) ** 2)
+            return math.sin(theta) ** (t - 1) * float(half if q >= p else 1.0 - half)
 
         norm = float(beta(0.5 * t, 0.5))
         # the shell [lo, hi] bounds the integral; ask for it to 1e-11 of the shell
         shell = cap(hi) - cap(lo)
-        val, _ = integrate.quad(ring, lo, hi, epsabs=1e-11 * shell * norm, epsrel=1e-12, limit=200)
+        val, _ = quad(ring, lo, hi, epsabs=1e-11 * shell * norm, epsrel=1e-12, limit=200)
         out += val / norm
     return out
 

@@ -243,6 +243,9 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     n = graph.n
     if len(embeddings) != n:
         raise ValueError(f"{len(embeddings)} embeddings for a graph on {n} vertices")
+    bad = np.flatnonzero(~np.isfinite(embeddings))
+    if len(bad):
+        raise ValueError(f"embedding of vertex {bad[0]} is not finite: {embeddings[bad[0]]}")
     from .generators import _circle_band_rows
     # rank i stands for vertex order[i], and i + n for order[i] + n
     order, indptr, cols = _circle_band_rows(embeddings, [(r_d, r_s)])

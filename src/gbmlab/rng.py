@@ -10,7 +10,6 @@ prefix of vertex positions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
@@ -37,6 +36,8 @@ def normal_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     Uses a fixed one-uniform-per-normal transform instead of the
     generator's rejection sampler so the prefix property survives.
     """
+    from scipy.special import ndtri
+
     u = uniform_rows(rng, n, k)
     # ndtri(0) = -inf; the generator's uniforms are in [0, 1) so only the
     # exact 0 endpoint needs a nudge.

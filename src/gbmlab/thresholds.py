@@ -272,8 +272,8 @@ def thresholds_hd(n: int, t: int, r_s: float, r_d: float,
     fraction; E_D = c_d (n V - sqrt(2 B n log n)) with V the intersection
     of the two caps at center distance r_d.  Both are absolute counts.
     """
-    if not 0.0 < r_d < r_s:
-        raise RegimeError(f"need 0 < r_d < r_s, got r_s={r_s}, r_d={r_d}")
+    if not 0.0 < r_d < r_s <= 2.0:
+        raise RegimeError(f"need 0 < r_d < r_s <= 2, got r_s={r_s}, r_d={r_d}")
     if c_s < 1.0 or not 0.0 < c_d <= 1.0:
         raise ValueError("need c_s >= 1 and 0 < c_d <= 1")
     ln_n = math.log(n)

@@ -290,6 +290,32 @@ class TestExitCodes:
         assert err.startswith("error: need 0 <= lo <= hi <= 1/2, got [")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("body, vertex, value", [
+        ("0.1\nnan\n0.3\ninf\n", 1, "nan"), ("-inf\n0.2\n0.3\n0.4\n", 0, "-inf"),
+        ("0.1\n0.2\n0.3\ninf\n", 3, "inf"),
+    ])
+    def test_non_finite_embedding_is_error(self, tmp_path, capsys, body, vertex, value):
+        (tmp_path / "g.graph.txt").write_text("4 0 1\n")
+        (tmp_path / "e.txt").write_text(body)
+        out = tmp_path / "loc.json"
+        assert run_cli("recover-loc", "--in", str(tmp_path / "g.graph.txt"),
+                       "--embeddings", str(tmp_path / "e.txt"), "--rs", "0.6", "--rd", "0.2",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: embedding of vertex {vertex} is not finite: {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", [("--rs", "3", "--rd", "1"), ("--rs", "2.5", "--rd", "2.2"),
+                                       ("--a", "1e3", "--b", "1")])
+    def test_recover_hd_radius_above_two_is_infeasible(self, tmp_path, capsys, radii):
+        p = str(tmp_path / "s")
+        assert run_cli("gen", "--n", "100", "--t", "2", "--rs", "0.6", "--rd", "0.3",
+                       "--out", p) == 0
+        assert run_cli("recover-hd", "--in", p + ".graph.txt", "--t", "2", *radii) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible regime: need 0 < r_d < r_s <= 2, got r_s=")
+        assert len(captured.err.splitlines()) == 1
+
     def test_huge_divergence_target_ends(self, capsys):
         # the bisection for f1 ends at adjacent floats 6e-8 apart
         assert run_cli("thresholds", "--n", "5000", "--a", "13", "--b", "1",
@@ -414,12 +440,18 @@ def recover_hd_argvs(draw, files):
 @st.composite
 def recover_loc_argvs(draw, files):
     """`recover-loc` on a drawn graph file and embeddings file with drawn radii;
-    the circle instance's two files together half of the time."""
+    a third of the time the circle instance's two files, a third of the time a
+    non-finite embeddings file with a graph of its size."""
     graphs = sorted(k for k in files if k.endswith(".graph.txt")) + ["missing"]
     embeddings = sorted(k for k in files if k.endswith(".embeddings.txt")) + ["empty.txt",
                                                                              "missing"]
-    if draw(st.booleans()):
+    pick = draw(st.integers(0, 2))
+    if pick == 0:
         graph, emb = "g.graph.txt", "g.embeddings.txt"
+    elif pick == 1:
+        graph, emb = draw(st.sampled_from([("no_edges.graph.txt", "nonfinite.embeddings.txt"),
+                                           ("no_edges.graph.txt", "nonfinite_neg.embeddings.txt"),
+                                           ("g.graph.txt", "nonfinite60.embeddings.txt")]))
     else:
         graph, emb = draw(st.sampled_from(graphs)), draw(st.sampled_from(embeddings))
     return ["recover-loc", "--in", files[graph], "--embeddings", files[emb]] + draw(radii_flags())
@@ -440,6 +472,8 @@ def input_files(tmp_path_factory):
               "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
               "short.txt": "0\n1\n-1\n", "token.embeddings.txt": "0.1\nx\n",
               "nonfinite.embeddings.txt": "0.1\nnan\n0.3\ninf\n",
+              "nonfinite_neg.embeddings.txt": "-inf\n0.2\n0.3\n0.4\n",
+              "nonfinite60.embeddings.txt": "0.5\n" * 59 + "nan\n",
               "ragged.embeddings.txt": "0.1,0.2\n0.3\n0.4,0.5\n0.6,0.7\n",
               "wide.embeddings.txt": "0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n"}
     for name, body in broken.items():
@@ -548,6 +582,8 @@ class TestDrawnInputs:
     def test_recover_hd_and_loc_clean_exit(self, input_files, data):
         argv = data.draw(st.one_of(recover_hd_argvs(input_files), recover_loc_argvs(input_files)))
         code, text = self.run_drawn(argv)
+        if argv[0] == "recover-loc" and "nonfinite" in os.path.basename(argv[4]):
+            assert code == 1
         if code == 0:
             out = json.loads(text, parse_constant=_reject_constant)
             g, _ = gr.read_graph(argv[2])

@@ -255,6 +255,17 @@ class TestThresholdsHD:
         with pytest.raises(th.RegimeError):
             th.thresholds_hd(5000, 2, 0.3, 0.3)
 
+    @pytest.mark.parametrize("r_s, r_d", [(3.0, 1.0), (2.5, 2.2), (2.0 + 1e-12, 1.0)])
+    def test_radius_above_two_rejected(self, r_s, r_d):
+        # chord radii live in [0, 2]; the check and its text are dense_plan's
+        with pytest.raises(th.RegimeError, match=r"^need 0 < r_d < r_s <= 2, got "):
+            th.thresholds_hd(5000, 2, r_s, r_d)
+        with pytest.raises(th.RegimeError, match=r"^need 0 < r_d < r_s <= 2, got "):
+            th.dense_plan(5000, 2, r_s, r_d)
+
+    def test_radius_two_accepted(self):
+        assert th.thresholds_hd(5000, 2, 2.0, 1.0).feasible
+
     def test_linear_growth_in_n(self):
         # the B n term dominates the sqrt deviation once n B >> log n
         a = th.thresholds_hd(100_000, 2, 1.0, 0.5)
