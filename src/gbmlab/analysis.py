@@ -2,15 +2,17 @@
 
 Metrics operate on predicted/true label arrays where -1 marks an
 unassigned vertex (treated as its own singleton cluster and counted as an
-error).  Connectivity diagnostics work on Graph objects or raw edge
-arrays; phase sweeps generate seeded trial graphs per grid point and
-report empirical frequencies.
+error).  Both metrics, the pair f-score and the node error rate, are read
+off one sparse contingency table, `_contingency`, whose size is the
+number of occupied cells.  Connectivity diagnostics work on Graph objects
+or raw edge arrays; phase sweeps generate seeded trial graphs per grid
+point and report empirical frequencies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,46 +31,53 @@ class Metrics:
     node_error_rate: float
 
     def to_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall,
-                "f_score": self.f_score, "node_error_rate": self.node_error_rate}
+        return asdict(self)
 
 
 def _pair_count(sizes: np.ndarray) -> int:
     return int((sizes.astype(np.int64) * (sizes.astype(np.int64) - 1) // 2).sum())
 
 
-def pair_f_score(pred, truth) -> Metrics:
-    """Pair-level precision/recall/f-score plus the node error rate.
+def _contingency(pred, truth):
+    """The sparse pred x truth contingency table of the assigned vertices.
 
-    Precision is the fraction of pred-co-clustered pairs that are truly
-    co-clustered; recall the fraction of truly co-clustered pairs that
-    pred co-clusters.  Unassigned vertices act as singletons, so they
-    contribute no predicted pairs.  Label-permutation invariant.
+    Returns (cells, starts, truth_sizes): the vertex count of each
+    occupied (predicted, true) cell, grouped by predicted cluster; the
+    index of each cluster's first cell; and the size of each truth label,
+    which sum to n.  One `np.unique` of the cell keys counts the cells, so
+    the table is linear in n however many clusters there are.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ValueError("pred and truth must have equal length")
     assigned = pred != UNASSIGNED
-
-    pred_ids, pred_inv = np.unique(pred[assigned], return_inverse=True)
     truth_ids, truth_inv = np.unique(truth, return_inverse=True)
+    pred_ids, pred_inv = np.unique(pred[assigned], return_inverse=True)
+    keys, cells = np.unique(pred_inv * len(truth_ids) + truth_inv[assigned], return_counts=True)
+    return cells, np.searchsorted(keys, np.arange(len(pred_ids)) * len(truth_ids)), np.bincount(truth_inv)
 
-    pred_sizes = np.bincount(pred_inv, minlength=len(pred_ids))
-    truth_sizes = np.bincount(truth_inv, minlength=len(truth_ids))
-    pred_pairs = _pair_count(pred_sizes)
+
+def pair_f_score(pred, truth) -> Metrics:
+    """Pair-level precision/recall/f-score plus the node error rate, from one `_contingency`.
+
+    Precision is the fraction of pred-co-clustered pairs that are truly
+    co-clustered; recall the fraction of truly co-clustered pairs that
+    pred co-clusters.  Unassigned vertices act as singletons, so they
+    contribute no predicted pairs.  Label-permutation invariant.
+    """
+    cells, starts, truth_sizes = _contingency(pred, truth)
+    tp = _pair_count(cells)
+    pred_pairs = _pair_count(np.add.reduceat(cells, starts))
     truth_pairs = _pair_count(truth_sizes)
-
-    # contingency over assigned vertices
-    joint = np.bincount(pred_inv * len(truth_ids) + truth_inv[assigned],
-                        minlength=len(pred_ids) * len(truth_ids))
-    tp = _pair_count(joint)
-
     precision = tp / pred_pairs if pred_pairs else 0.0
     recall = tp / truth_pairs if truth_pairs else 0.0
     f = 2 * precision * recall / (precision + recall) if precision > 0 and recall > 0 else 0.0
+    # the vertices outside the largest cell of their cluster, and the unassigned ones
+    n = int(truth_sizes.sum())
+    errors = n - int(np.maximum.reduceat(cells, starts).sum())
     return Metrics(precision=precision, recall=recall, f_score=f,
-                   node_error_rate=node_error_rate(pred, truth))
+                   node_error_rate=errors / n if n else 0.0)
 
 
 def node_error_rate(pred, truth) -> float:
@@ -78,21 +87,7 @@ def node_error_rate(pred, truth) -> float:
     the smallest truth label); minority members and unassigned vertices
     count as misclassified.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise ValueError("pred and truth must have equal length")
-    n = len(pred)
-    if n == 0:
-        return 0.0
-    errors = int((pred == UNASSIGNED).sum())
-    assigned = pred != UNASSIGNED
-    truth_ids, truth_inv = np.unique(truth, return_inverse=True)
-    for cluster in np.unique(pred[assigned]):
-        members = pred == cluster
-        counts = np.bincount(truth_inv[members], minlength=len(truth_ids))
-        errors += int(members.sum() - counts.max())
-    return errors / n
+    return pair_f_score(pred, truth).node_error_rate
 
 
 def component_count(graph: Graph) -> int:

@@ -12,9 +12,11 @@ malformed value), 2 infeasible parameter regime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -70,8 +72,9 @@ def _at_least(low: int):
 _positive, _seed = _at_least(1), _at_least(0)
 
 
-def _out_stream(path: str):
-    return sys.stdout if path == "-" else open(path, "w", newline="\n")
+def _output(path: str):
+    """The stream of one output, as a context: stdout for "-", else the file, closed after."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="\n")
 
 
 def _emit_json(path: str, payload: dict) -> None:
@@ -81,16 +84,15 @@ def _emit_json(path: str, payload: dict) -> None:
         text = json.dumps(payload, indent=2, default=_jsonable, allow_nan=False)
     except ValueError as exc:
         raise thresholds.RegimeError(f"result is not finite ({exc})") from None
-    stream = _out_stream(path)
-    stream.write(text + "\n")
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(path) as stream:
+        stream.write(text + "\n")
 
 
 def _jsonable(x):
-    if isinstance(x, (np.integer,)):
+    """The one converter of numpy values for JSON: scalars to Python numbers, arrays to lists."""
+    if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, np.floating):
         return float(x)
     if isinstance(x, np.ndarray):
         return x.tolist()
@@ -98,12 +100,10 @@ def _jsonable(x):
 
 
 def _emit_csv(path: str, header: str, rows: np.ndarray, config: dict) -> None:
-    stream = _out_stream(path)
-    stream.write(f"# schema={SCHEMA} version={__version__} params={json.dumps(config, default=_jsonable)}\n")
-    stream.write(header + "\n")
-    graphio._write_rows(stream, ",".join(["%s"] * rows.shape[1]) + "\n", rows)
-    if stream is not sys.stdout:
-        stream.close()
+    with _output(path) as stream:
+        stream.write(f"# schema={SCHEMA} version={__version__} params={json.dumps(config, default=_jsonable)}\n")
+        stream.write(header + "\n")
+        graphio._write_rows(stream, ",".join(["%s"] * rows.shape[1]) + "\n", rows)
 
 
 def _resolve_radii(args, n: int, t: int) -> tuple[float, float]:
@@ -260,7 +260,7 @@ def _cmd_recover(args) -> int:
                    "divergence_target": res.thresholds.divergence_target},
         "thresholds": res.thresholds.to_dict(),
         "stats": res.stats,
-        "labels": res.labels.tolist(),
+        "labels": res.labels,
     })
     return 0
 
@@ -275,7 +275,7 @@ def _cmd_recover_hd(args) -> int:
                    "c_s": args.cs, "c_d": args.cd},
         "thresholds": res.thresholds.to_dict(),
         "stats": res.stats,
-        "labels": res.labels.tolist(),
+        "labels": res.labels,
     })
     return 0
 
@@ -290,7 +290,7 @@ def _cmd_recover_loc(args) -> int:
         "status": res.status,
         "components_count": res.components_count,
         "constrained_pairs": res.constrained_pairs,
-        "labels": res.labels.tolist() if res.labels is not None else None,
+        "labels": res.labels,
     })
     return 0
 
@@ -316,10 +316,10 @@ def _cmd_dense(args) -> int:
         "status": res.status,
         "queries_used": res.queries_used,
         "fraction_of_pairs": res.queries_used / total_pairs,
-        "phase1_sizes": list(res.phase1_sizes),
+        "phase1_sizes": res.phase1_sizes,
         "ties": res.ties,
         "node_error_rate": analysis.node_error_rate(res.labels, labels),
-        "labels": res.labels.tolist(),
+        "labels": res.labels,
     })
     return 0
 
@@ -339,12 +339,10 @@ def _cmd_phase(args) -> int:
     cfg = {"cmd": "phase", "n": args.n, "trials": args.trials, "seed": args.seed,
            "family": args.family, "t": args.t, "c": args.c}
     if args.format == "json":
-        _emit_json(args.out, {"params": cfg, "rows": [vars(p) for p in out]})
+        _emit_json(args.out, {"params": cfg, "rows": [asdict(p) for p in out]})
     else:
-        rows = np.array([(p.a, p.b, p.trials, p.connected_frac, p.isolated_frac,
-                          p.mean_components) for p in out], dtype=object)
-        _emit_csv(args.out, "a,b,trials,connected_frac,isolated_frac,mean_components",
-                  rows, cfg)
+        header = ",".join(f.name for f in fields(analysis.PhasePoint))
+        _emit_csv(args.out, header, np.array([astuple(p) for p in out], dtype=object), cfg)
     return 0
 
 

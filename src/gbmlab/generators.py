@@ -185,6 +185,12 @@ def _planted_labels(n: int) -> np.ndarray:
     return labels
 
 
+def _check_circle_radii(r_s: float, r_d: float) -> None:
+    """The circle model's one radius rule, 0 <= r_d <= r_s <= 1/2."""
+    if not 0.0 <= r_d <= r_s <= 0.5:
+        raise ValueError(f"need 0 <= r_d <= r_s <= 1/2, got r_s={r_s}, r_d={r_d}")
+
+
 @trims_heap
 def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     """Geometric block model on the circle.
@@ -192,8 +198,7 @@ def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     Edge (u, v) iff d(u, v) <= r_s for same-cluster pairs and
     d(u, v) <= r_d for cross-cluster pairs, with r_d <= r_s.
     """
-    if not 0.0 <= r_d <= r_s <= 0.5:
-        raise ValueError(f"need 0 <= r_d <= r_s <= 1/2, got r_s={r_s}, r_d={r_d}")
+    _check_circle_radii(r_s, r_d)
     labels = _planted_labels(n)
     rng = _seeded(seed)
     pos = sample_circle(rng, n)

@@ -235,7 +235,8 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     smallest member) is labeled, its smallest vertex with 0; vertices in
     other components stay unassigned.  `components_count` counts the
     components of the constraint graph over all pairs, singletons included,
-    on either status.
+    on either status.  Raises ValueError on a position that is not finite
+    or lies outside [0, 1), and on radii outside the rule of `gen_gbm1`.
     """
     embeddings = np.asarray(embeddings, dtype=float)
     if embeddings.ndim != 1:
@@ -246,7 +247,11 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     bad = np.flatnonzero(~np.isfinite(embeddings))
     if len(bad):
         raise ValueError(f"embedding of vertex {bad[0]} is not finite: {embeddings[bad[0]]}")
-    from .generators import _circle_band_rows
+    bad = np.flatnonzero((embeddings < 0.0) | (embeddings >= 1.0))
+    if len(bad):
+        raise ValueError(f"embedding of vertex {bad[0]} lies outside [0, 1): {embeddings[bad[0]]}")
+    from .generators import _check_circle_radii, _circle_band_rows
+    _check_circle_radii(r_s, r_d)
     # rank i stands for vertex order[i], and i + n for order[i] + n
     order, indptr, cols = _circle_band_rows(embeddings, [(r_d, r_s)])
     pairs = len(cols)

@@ -18,7 +18,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .geometry import cap_fraction, cap_intersection_fraction
@@ -176,13 +176,7 @@ class ThresholdSet1D:
         return self.E_D is not None
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "a": self.a, "b": self.b,
-            "f1": self.f1, "f2": self.f2,
-            "theta1": self.theta1, "theta2": self.theta2,
-            "E_S": self.E_S, "E_D": self.E_D,
-            "divergence_target": self.divergence_target,
-        }
+        return asdict(self)
 
 
 def thresholds_1d(n: int, a: float, b: float, divergence_target: float = 1.0) -> ThresholdSet1D:
@@ -242,6 +236,12 @@ def min_a_table(b_values=TABLE_B_VALUES) -> list[tuple[float, float]]:
     return [(b, min_a_for_b(b)) for b in b_values]
 
 
+def _check_sphere_radii(r_s: float, r_d: float) -> None:
+    """The sphere regime's one radius rule, 0 < r_d < r_s <= 2 (chord distances)."""
+    if not 0.0 < r_d < r_s <= 2.0:
+        raise RegimeError(f"need 0 < r_d < r_s <= 2, got r_s={r_s}, r_d={r_d}")
+
+
 @dataclass(frozen=True)
 class ThresholdSetHD:
     """Absolute-count thresholds for the filter on S^t."""
@@ -259,9 +259,7 @@ class ThresholdSetHD:
         return self.E_D < self.E_S
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "t": self.t, "r_s": self.r_s, "r_d": self.r_d,
-                "c_s": self.c_s, "c_d": self.c_d, "E_S": self.E_S, "E_D": self.E_D,
-                "feasible": self.feasible}
+        return {**asdict(self), "feasible": self.feasible}
 
 
 def thresholds_hd(n: int, t: int, r_s: float, r_d: float,
@@ -272,8 +270,7 @@ def thresholds_hd(n: int, t: int, r_s: float, r_d: float,
     fraction; E_D = c_d (n V - sqrt(2 B n log n)) with V the intersection
     of the two caps at center distance r_d.  Both are absolute counts.
     """
-    if not 0.0 < r_d < r_s <= 2.0:
-        raise RegimeError(f"need 0 < r_d < r_s <= 2, got r_s={r_s}, r_d={r_d}")
+    _check_sphere_radii(r_s, r_d)
     if c_s < 1.0 or not 0.0 < c_d <= 1.0:
         raise ValueError("need c_s >= 1 and 0 < c_d <= 1")
     ln_n = math.log(n)
@@ -319,11 +316,7 @@ class DensePlan:
         return self.h * (self.h - 1) // 2 + (self.n - self.h) * 2 * self.g
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "t": self.t, "r_s": self.r_s, "r_d": self.r_d,
-                "g": self.g, "h": self.h, "g_formula": self.g_formula,
-                "E_S": self.E_S, "E_D": self.E_D,
-                "theta_S": self.theta_S, "theta_D": self.theta_D,
-                "query_budget": self.query_budget}
+        return {**asdict(self), "query_budget": self.query_budget}
 
 
 def dense_plan(n: int, t: int, r_s: float, r_d: float,
@@ -339,8 +332,7 @@ def dense_plan(n: int, t: int, r_s: float, r_d: float,
     comparable to the count gap itself, and an unscaled E_S prunes nearly
     every same-cluster edge (measured on n = 1e4, r_s = 0.6, r_d = 0.4).
     """
-    if not 0.0 < r_d < r_s <= 2.0:
-        raise RegimeError(f"need 0 < r_d < r_s <= 2, got r_s={r_s}, r_d={r_d}")
+    _check_sphere_radii(r_s, r_d)
     b_s = cap_fraction(t, r_s)
     b_d = cap_fraction(t, r_d)
     if b_s <= b_d:

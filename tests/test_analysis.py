@@ -1,7 +1,11 @@
 import math
+import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbmlab import analysis as ana
 from gbmlab import generators as gen
@@ -79,6 +83,68 @@ class TestNodeErrorRate:
         truth = np.array([0, 1])
         pred = np.array([5, 5])
         assert ana.node_error_rate(pred, truth) == ana.node_error_rate(pred, truth) == 0.5
+
+
+def brute_force_metrics(pred, truth):
+    """(precision, recall, f_score, node_error_rate) by enumerating every pair
+    and counting each predicted cluster's truth labels."""
+    n = len(pred)
+    tp = pred_pairs = truth_pairs = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            co = pred[i] == pred[j] != -1
+            pred_pairs += co
+            truth_pairs += truth[i] == truth[j]
+            tp += co and truth[i] == truth[j]
+    precision = tp / pred_pairs if pred_pairs else 0.0
+    recall = tp / truth_pairs if truth_pairs else 0.0
+    f = 2 * precision * recall / (precision + recall) if precision > 0 and recall > 0 else 0.0
+    errors = pred.count(-1)
+    for cluster in set(pred) - {-1}:
+        counts = Counter(t for p, t in zip(pred, truth) if p == cluster)
+        errors += sum(counts.values()) - max(counts.values())
+    return precision, recall, f, errors / n if n else 0.0
+
+
+@st.composite
+def labellings(draw):
+    """(pred, truth) of equal length: up to n predicted clusters and -1, and
+    truth labels that may be -1, negative or large."""
+    n = draw(st.integers(0, 40))
+    pred = draw(st.lists(st.integers(-1, max(n, 1)), min_size=n, max_size=n))
+    label = st.one_of(st.integers(-3, 3), st.integers(-2 ** 62, 2 ** 62))
+    truth = draw(st.lists(st.one_of(st.sampled_from([-1, 0, 1]), label), min_size=n, max_size=n))
+    return pred, truth
+
+
+class TestContingency:
+    @settings(max_examples=300, deadline=None)
+    @given(labellings())
+    def test_metrics_match_brute_force(self, labels):
+        pred, truth = labels
+        m = ana.pair_f_score(np.array(pred, dtype=np.int64), np.array(truth, dtype=np.int64))
+        expected = brute_force_metrics(pred, truth)
+        assert (m.precision, m.recall, m.f_score, m.node_error_rate) == expected
+        assert ana.node_error_rate(np.array(pred, dtype=np.int64),
+                                   np.array(truth, dtype=np.int64)) == expected[3]
+
+    def test_singletons_against_halves_take_linear_time(self):
+        # one predicted cluster per vertex: a loop over the clusters took seconds
+        halves = np.repeat([0, 1], 25_000)
+        start = time.perf_counter()
+        assert ana.node_error_rate(np.arange(50_000), halves) == 0.0
+        assert time.perf_counter() - start < 0.5
+
+    def test_table_holds_only_occupied_cells(self):
+        # 6000 x 6000 label pairs, of which 6000 are occupied
+        tracemalloc.start()
+        try:
+            m = ana.pair_f_score(np.arange(6000), np.arange(6000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (m.precision, m.recall, m.node_error_rate) == (0.0, 0.0, 0.0)
+        assert peak < 16 * 2 ** 20
 
 
 class TestComponents:

@@ -304,6 +304,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: embedding of vertex {vertex} is not finite: {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("embeddings, radii, message", [
+        ("0.1\n0.2\n0.3\n0.4\n", ("--rs", "0.2", "--rd", "0.6"),
+         "need 0 <= r_d <= r_s <= 1/2, got r_s=0.2, r_d=0.6"),
+        ("0.1\n0.2\n0.3\n0.4\n", ("--rs", "0.6", "--rd", "0.2"),
+         "need 0 <= r_d <= r_s <= 1/2, got r_s=0.6, r_d=0.2"),
+        ("0.1\n0.2\n0.3\n0.4\n", ("--a", "1", "--b", "4"), "need 0 <= r_d <= r_s <= 1/2, got r_s="),
+        ("0.1\n1e308\n0.3\n0.4\n", ("--rs", "0.2", "--rd", "0.1"),
+         "embedding of vertex 1 lies outside [0, 1): 1e+308"),
+        ("0.1\n0.2\n0.3\n1.0\n", ("--rs", "0.2", "--rd", "0.1"),
+         "embedding of vertex 3 lies outside [0, 1): 1.0"),
+    ])
+    def test_recover_loc_radii_and_positions_follow_the_circle_model(self, tmp_path, capsys,
+                                                                    embeddings, radii, message):
+        (tmp_path / "g.graph.txt").write_text("4 0 1\n")
+        (tmp_path / "e.txt").write_text(embeddings)
+        out = tmp_path / "loc.json"
+        assert run_cli("recover-loc", "--in", str(tmp_path / "g.graph.txt"),
+                       "--embeddings", str(tmp_path / "e.txt"), *radii, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("radii", [("--rs", "3", "--rd", "1"), ("--rs", "2.5", "--rd", "2.2"),
                                        ("--a", "1e3", "--b", "1")])
     def test_recover_hd_radius_above_two_is_infeasible(self, tmp_path, capsys, radii):

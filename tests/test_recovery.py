@@ -372,6 +372,28 @@ class TestRecoverWithLocations:
         with pytest.raises(ValueError, match="embeddings"):
             rec.recover_with_locations(inst.graph, inst.embeddings[:-1], 0.05, 0.02)
 
+    def test_positions_in_unit_interval_accepted(self):
+        x = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)])
+        res = rec.recover_with_locations(from_edges(4, [0], [3]), x, 0.3, 0.0)
+        assert res.status == "ok"
+
+    @pytest.mark.parametrize("value", [1.0, -1e-300, 1e308, -0.5])
+    def test_position_outside_unit_interval_names_vertex(self, value):
+        x = np.array([0.1, 0.2, value, 0.4])
+        with pytest.raises(ValueError) as exc:
+            rec.recover_with_locations(from_edges(4, [0], [1]), x, 0.3, 0.1)
+        assert str(exc.value) == f"embedding of vertex 2 lies outside [0, 1): {x[2]}"
+
+    @pytest.mark.parametrize("r_s, r_d", [(0.2, 0.6), (0.6, 0.2), (0.3, -0.1), (0.2, float("nan"))])
+    def test_radii_follow_the_generator_rule(self, r_s, r_d):
+        inst = gen.gen_gbm1(20, 0.05, 0.02, seed=1)
+        with pytest.raises(ValueError) as exc:
+            rec.recover_with_locations(inst.graph, inst.embeddings, r_s, r_d)
+        assert str(exc.value) == f"need 0 <= r_d <= r_s <= 1/2, got r_s={r_s}, r_d={r_d}"
+        with pytest.raises(ValueError) as gen_exc:
+            gen.gen_gbm1(20, r_s, r_d, seed=1)
+        assert str(gen_exc.value) == str(exc.value)
+
 
 class TestLabeling:
     def test_two_largest_components_labeled(self):
