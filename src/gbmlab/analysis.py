@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dense import usable_cores
 from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _seeded,
                          _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi, sample_circle
@@ -247,6 +248,9 @@ def phase_sweep(n: int, points, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs > usable_cores():
+        # the process pool forks all its workers when it starts
+        raise ValueError(f"jobs must be at most the {usable_cores()} usable cores, got {jobs}")
     tasks = [(family, n, float(a), float(b), c, t, seed, gi, ti)
              for gi, (a, b) in enumerate(points) for ti in range(trials)]
     if jobs > 1:

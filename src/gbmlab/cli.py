@@ -72,6 +72,15 @@ def _at_least(low: int):
 _positive, _seed = _at_least(1), _at_least(0)
 
 
+def _jobs(text: str) -> int:
+    """argparse type: a worker count from 1 to the usable cores."""
+    k = _positive(text)
+    cores = dense.usable_cores()
+    if k > cores:
+        raise argparse.ArgumentTypeError(f"expected at most {cores} (the usable cores), got {text!r}")
+    return k
+
+
 def _output(path: str):
     """The stream of one output, as a context: stdout for "-", else the file, closed after."""
     return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="\n")
@@ -194,7 +203,7 @@ def build_parser() -> _Parser:
     ph.add_argument("--t", type=_positive, default=1)
     ph.add_argument("--c", type=_finite, default=0.0,
                     help="short-band endpoint for the interval_union family")
-    ph.add_argument("--jobs", type=_positive, default=1)
+    ph.add_argument("--jobs", type=_jobs, default=1)
     ph.add_argument("--format", choices=["csv", "json"], default="csv")
     ph.add_argument("--out", default="-")
 

@@ -22,12 +22,24 @@ above the diagonal that join two components are counted by
 `recovery._window_counts`, the package's one counting kernel, and the
 kept ones are merged.  No h x h boolean and no pair list exists;
 every other temporary is chunk-sized.
+
+Phase 1 runs on up to THREADS threads (the usable cores), through one
+helper, `_map_chunks`, which deals row chunks round-robin to them.  The
+block answer's chunks write disjoint bytes of the packed block.  The
+filter counts a round of THREADS chunks against one snapshot of the
+partition and merges their kept pairs at once, which leaves the
+partition exact.  Chunks hold 1 / THREADS of the serial chunk's cells,
+so the chunks in flight hold what one serial chunk does.  Phase 2 runs
+on the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,20 +53,91 @@ from .thresholds import DensePlan
 
 #: the oracle answers its blocks in row chunks of about this many cells
 _CHUNK_CELLS = 1 << 19
+#: phase 1 unpacks and counts its block in row chunks of about this many cells
+_COUNT_CELLS = 1 << 20
 
 
-def _chunk_rows(width: int) -> int:
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+#: threads of `_map_chunks`, at most; tests set it to compare thread counts
+THREADS = usable_cores()
+_pool = None                    # (workers, ThreadPoolExecutor), made on first use
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# a forked child has none of the pool's threads; it makes its own pool if it needs one
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map_chunks(fn, chunks: list) -> list:
+    """[fn(i0, i1) for (i0, i1) in chunks], run on min(THREADS, len(chunks)) threads.
+
+    Chunk k goes to thread k % threads (round-robin), so chunks that shrink
+    from first to last still split evenly.  The caller's thread runs share
+    0 and a pool of threads - 1 workers, made on first use, runs the rest;
+    one more arena of freed memory per worker is what the threads cost in
+    resident memory.  With one thread no pool is made and the chunks run
+    in order.  `fn` must be safe to run on several chunks at once, must
+    not call `_map_chunks`, and must call no function that `bench/spans.py`
+    wraps, since its recorder keeps one stack of open spans.
+    """
+    threads = min(THREADS, len(chunks))
+    if threads < 2:
+        return [fn(*c) for c in chunks]
+    from concurrent.futures import wait
+    from concurrent.futures.thread import ThreadPoolExecutor
+
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads - 1:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (threads - 1, ThreadPoolExecutor(threads - 1, thread_name_prefix="gbmlab"))
+        pool = _pool[1]
+
+    def run(share):
+        return [fn(*c) for c in share]
+
+    shares = [pool.submit(run, chunks[k::threads]) for k in range(1, threads)]
+    out = [None] * len(chunks)
+    try:
+        out[0::threads] = run(chunks[0::threads])
+    finally:
+        wait(shares)
+    for k, share in enumerate(shares, 1):
+        out[k::threads] = share.result()
+    return out
+
+
+def _chunk_rows(width: int, cells: int) -> int:
     """Rows per chunk of a block `width` cells wide."""
-    return max(1, _CHUNK_CELLS // max(width, 1))
+    return max(1, cells // max(width, 1))
 
 
-def _zero_block(h: int) -> tuple[np.ndarray, int]:
+def _zero_block(h: int) -> tuple[np.ndarray, list]:
     """The zeroed (h, ceil(h / 64)) uint64 words of a size-h packed block,
-    and the rows per answer chunk: about 2^19 cells, a multiple of 8 so
-    that `_mirror_bits` writes whole bytes."""
-    return np.zeros((h, -(-h // 64)), dtype=np.uint64), 8 * max(1, _chunk_rows(h) // 8)
+    and its answer chunks (i0, i1): about 2^19 / THREADS cells each, so
+    the chunks in flight hold what one chunk of 2^19 cells would, and a
+    multiple of 8 rows so that `_mirror_bits` writes whole bytes."""
+    step = 8 * max(1, _chunk_rows(h, _CHUNK_CELLS // THREADS) // 8)
+    return (np.zeros((h, -(-h // 64)), dtype=np.uint64),
+            [(i0, min(i0 + step, h)) for i0 in range(0, h, step)])
 
 
+# Chunks of one block may call `_mirror_bits` at once: their writes touch
+# disjoint bytes.  Chunk [i0, i1) writes its rows i0 to i1 - 1 (from byte
+# column i0 / 8 on) and byte columns i0 / 8 to i1 / 8 - 1 (from row i0
+# down).  Every other chunk holds other rows, and the byte columns of a
+# chunk above it lie left of i0 / 8, those of a chunk below it right of
+# i1 / 8 - 1.
 def _mirror_bits(words: np.ndarray, i0: int, answers: np.ndarray) -> None:
     """Pack the answers of rows i0 to i0 + k against columns i0 on into the
     symmetric packed block `words`: at those rows and, transposed, at
@@ -156,7 +239,7 @@ class EdgeOracle:
         self.queries += len(rows) * len(cols) - seen
         self._record_block(srows, scols)
         out = np.empty((len(rows), len(cols)), dtype=bool)
-        step = _chunk_rows(len(cols))
+        step = _chunk_rows(len(cols), _CHUNK_CELLS)
         for i0 in range(0, len(rows), step):
             out[i0:i0 + step] = self._answer(rows[i0:i0 + step, None], cols[None, :])
         return out
@@ -190,17 +273,19 @@ class EdgeOracle:
         return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_answer` on each unordered pair of the sample once, by row chunks of about 2^19 cells.
+        """`_answer` on each unordered pair of the sample once, by the row chunks of `_zero_block`.
 
-        Row chunk [i0, i0 + step) is answered against the columns from i0 on
+        Row chunk [i0, i1) is answered against the columns from i0 on
         only, and packed into its rows and, transposed, into its columns of
         the `query_block_bits` words, so the block comes out symmetric at
-        half the answers.
+        half the answers.  The chunks run on `_map_chunks`' threads.
         """
-        h = len(sample)
-        words, step = _zero_block(h)
-        for i0 in range(0, h, step):
-            _mirror_bits(words, i0, self._answer(sample[i0:i0 + step, None], sample[i0:]))
+        words, chunks = _zero_block(len(sample))
+
+        def answer(i0, i1):
+            _mirror_bits(words, i0, self._answer(sample[i0:i1, None], sample[i0:]))
+
+        _map_chunks(answer, chunks)
         return words
 
 
@@ -210,6 +295,8 @@ class GraphEdgeOracle(EdgeOracle):
     def __init__(self, graph: Graph):
         super().__init__(graph.n)
         self.graph = graph
+        # the windows are built here, on the caller's thread, not by a block answer's thread
+        graph.layout
 
     def _answer(self, us, vs):
         return self.graph.has_edges(us, vs)
@@ -240,22 +327,25 @@ class GbmEdgeOracle(EdgeOracle):
     def _block_answer(self, sample):
         """`_answer` on each unordered pair of the sample once, by row chunks.
 
-        As in `EdgeOracle._block_answer`, row chunk [i0, i0 + step) meets
+        As in `EdgeOracle._block_answer`, row chunk [i0, i1) meets
         only the columns from i0 on and is mirrored.  This is exact: each
         coordinate's (a - b)^2 equals (b - a)^2 bit for bit, and label
-        equality is symmetric.  Each chunk's temporaries hold about 2^19
-        floats, so the block costs its packed words plus a few MB.
+        equality is symmetric.  The chunks run on `_map_chunks`' threads,
+        and the temporaries of the chunks in flight hold about 2^19 floats
+        together, so the block costs its packed words plus a few MB.
         """
         xs = self._x[sample]
         labels = self._labels[sample]
-        h = len(sample)
-        idx = np.arange(h)
-        words, step = _zero_block(h)
-        for i0 in range(0, h, step):
-            rows, cols = idx[i0:i0 + step, None], idx[i0:]
+        idx = np.arange(len(sample))
+        words, chunks = _zero_block(len(sample))
+
+        def answer(i0, i1):
+            rows, cols = idx[i0:i1, None], idx[i0:]
             d2 = squared_chord(xs, rows, cols)
             same = labels[rows] == labels[cols]
             _mirror_bits(words, i0, d2 <= np.where(same, self._thr2[0], self._thr2[1]))
+
+        _map_chunks(answer, chunks)
         return words
 
 
@@ -278,43 +368,69 @@ class DenseResult:
     balance_ok: Optional[bool] = None
 
 
+def _count_chunk(words: np.ndarray, comp: np.ndarray, e_s: float, e_d: Optional[float],
+                 i0: int, i1: int) -> tuple:
+    """Phase 1 on rows i0 to i1 - 1 of the packed block against the partition `comp`.
+
+    Returns the rows' degrees, the chunk's set bits per column, its pairs
+    above the diagonal, and the ends (uu, vv) of those pairs that join two
+    components of `comp` and that `_keep` keeps.
+    """
+    h = len(words)
+    degrees = np.bitwise_count(words[i0:i1]).sum(axis=1)
+    bits = np.unpackbits(words[i0:i1].view(np.uint8), axis=1, count=h)
+    columns = np.add.reduce(bits, axis=0, dtype=np.int32)
+    # row r of the chunk against the columns from i0 on; above the diagonal where c > r
+    r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
+    del bits
+    above = c > r
+    uu, vv = r[above] + i0, c[above] + i0
+    upper = len(uu)
+    apart = comp[uu] != comp[vv]
+    uu, vv = uu[apart], vv[apart]
+    keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv), e_s, e_d)
+    return degrees, columns, upper, uu[keep], vv[keep]
+
+
 def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np.ndarray:
     """Component id per sample vertex (smallest member) over the induced edges the filter keeps.
 
     `words` is the packed block of `query_block_bits`, read in row chunks
-    of about 2^20 cells with one partition `comp` carried across them.  A
-    pair whose ends already share a component cannot change it, so each
-    chunk counts only its other pairs above the diagonal (`_window_counts`
-    on the full rows, every start 0), keeps them by `_keep` and merges the
-    kept ones into `comp`.  By induction over the chunks, the result is
-    `_components` of every kept induced edge, and no pair list is stored.
-    ValueError when the upper triangle does not hold half the set bits or
-    a column count differs from its row's: two symmetry checks that no
-    block with a zero diagonal and zero bits past column h - 1 fails.
+    of about 2^20 / THREADS cells (`_COUNT_CELLS`) with one partition
+    `comp` carried across them.  A pair whose ends already share a
+    component cannot change it, so each chunk counts only its other pairs
+    above the diagonal (`_window_counts` on the full rows, every start 0)
+    and keeps them by `_keep` (`_count_chunk`).  The chunks go in rounds
+    of THREADS, run by `_map_chunks` against one snapshot of `comp`, and
+    the kept pairs of a round are merged into `comp` at once.  A pair counted after its ends
+    were joined in the same round changes nothing, so by induction over
+    the rounds the result is `_components` of every kept induced edge,
+    whatever the thread count; only the number of pairs counted moves.
+    No pair list is stored.  ValueError when the upper triangle does not
+    hold half the set bits or a column count differs from its row's: two
+    symmetry checks that no block with a zero diagonal and zero bits past
+    column h - 1 fails.
     """
     h = len(words)
-    starts = np.zeros(h, dtype=np.int64)
     degrees = np.empty(h, dtype=np.int64)
     columns = np.zeros(h, dtype=np.int64)
     upper = 0
     comp = np.arange(h, dtype=np.int64)
-    step = max(1, (1 << 20) // max(h, 1))
-    for i0 in range(0, h, step):
-        degrees[i0:i0 + step] = np.bitwise_count(words[i0:i0 + step]).sum(axis=1)
-        bits = np.unpackbits(words[i0:i0 + step].view(np.uint8), axis=1, count=h)
-        columns += np.add.reduce(bits, axis=0, dtype=np.int32)
-        # row r of the chunk against the columns from i0 on; above the diagonal where c > r
-        r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
-        above = c > r
-        uu, vv = r[above] + i0, c[above] + i0
-        upper += len(uu)
-        apart = comp[uu] != comp[vv]
-        uu, vv = uu[apart], vv[apart]
-        keep = _keep(_window_counts(words, starts, uu, vv), e_s, e_d)
-        if keep.any():
+    step = _chunk_rows(h, _COUNT_CELLS // THREADS)
+    chunks = [(i0, min(i0 + step, h)) for i0 in range(0, h, step)]
+    for k in range(0, len(chunks), THREADS):
+        part = chunks[k:k + THREADS]
+        done = _map_chunks(partial(_count_chunk, words, comp, e_s, e_d), part)
+        for (i0, i1), (deg, col, up, _, _) in zip(part, done):
+            degrees[i0:i1] = deg
+            columns += col
+            upper += up
+        uu = np.concatenate([d[3] for d in done])
+        vv = np.concatenate([d[4] for d in done])
+        if len(uu):
             # each id is its component's smallest member, so merging the ids of the
             # kept pairs' ends gives each old component the smallest id of its new one
-            comp = _components(h, comp[uu[keep]], comp[vv[keep]])[1][comp]
+            comp = _components(h, comp[uu], comp[vv])[1][comp]
     if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
     return comp

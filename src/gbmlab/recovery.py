@@ -81,11 +81,12 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     d = starts[hi] - starts[lo] (capped at W), words d to d + W - 1 of
     row lo, padded by W zero words in a copy made once per call, line up
     with the window of row hi, so each pair is one AND of two W-word rows,
-    the first read from a sliding-window view.  With every start 0, d is
-    0 and no copy is made.  Pairs go in chunks of about 2^16 words.
+    the first read from a sliding-window view.  With every start 0 (full
+    rows, as in dense phase 1) both rows are gathered directly, with no
+    view and no copy.  Pairs go in chunks of about 2^16 words.
     """
     w = rows.shape[1]
-    shifted = sliding_window_view(np.pad(rows, ((0, 0), (0, w))) if starts.any() else rows, w, axis=1)
+    shifted = sliding_window_view(np.pad(rows, ((0, 0), (0, w))), w, axis=1) if starts.any() else None
     # a count is an integer of at most 64 W, exact in float32 while
     # 64 W <= 2^24 (true for every n <= 2^24); a float32 matrix-vector
     # product sums the popcounts faster than an integer row sum
@@ -94,8 +95,8 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     step = max(1, (1 << 16) // max(w, 1))
     for i0 in range(0, len(lo), step):
         a, b = lo[i0:i0 + step], hi[i0:i0 + step]
-        d = np.minimum(starts[b] - starts[a], w)
-        counts[i0:i0 + step] = np.bitwise_count(shifted[a, d] & rows[b]).astype(np.float32) @ ones
+        left = rows[a] if shifted is None else shifted[a, np.minimum(starts[b] - starts[a], w)]
+        counts[i0:i0 + step] = np.bitwise_count(left & rows[b]).astype(np.float32) @ ones
     return counts
 
 

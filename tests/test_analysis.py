@@ -286,7 +286,20 @@ class TestPhaseSweep:
             assert 0 <= p.connected_frac <= 1 and 0 <= p.isolated_frac <= 1
             assert p.mean_components >= 1
 
-    def test_parallel_jobs_same_output(self):
+    def test_jobs_above_the_usable_cores_rejected(self, monkeypatch):
+        # the check comes before the pool: a pool made here fails the test
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("a process pool was made"))
+        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
+        for jobs in (3, 100_000):
+            with pytest.raises(ValueError, match=f"at most the 2 usable cores, got {jobs}"):
+                ana.phase_sweep(1200, [(1.5, 0.9)], trials=2, seed=2, jobs=jobs)
+
+    def test_parallel_jobs_same_output(self, monkeypatch):
+        # two worker processes run on one core too; the bound is tested above
+        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
         pts = [(1.5, 0.9)]
         seq = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=1)
         par = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=2)

@@ -240,6 +240,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: argument {flag}: expected an integer >= 1")
 
+    @pytest.mark.parametrize("cores, value", [(1, "2"), (2, "3"), (2, "100000")])
+    def test_phase_jobs_above_the_usable_cores_fail_at_parse_time(self, monkeypatch, capsys,
+                                                                  cores, value):
+        # the sweep is replaced, so no worker process can start whatever --jobs says
+        monkeypatch.setattr(cli.dense, "usable_cores", lambda: cores)
+        monkeypatch.setattr(cli.analysis, "phase_sweep", lambda *a, **k: pytest.fail("ran"))
+        assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", "--jobs", value) == 1
+        err = capsys.readouterr().err
+        assert err == (f"usage error: argument --jobs: expected at most {cores} "
+                       f"(the usable cores), got '{value}'\n")
+
+    def test_phase_jobs_up_to_the_usable_cores_reach_the_sweep(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli.dense, "usable_cores", lambda: 3)
+        seen = []
+        point = cli.analysis.PhasePoint(a=1.6, b=1.0, trials=1, connected_frac=1.0,
+                                        isolated_frac=0.0, mean_components=1.0)
+        monkeypatch.setattr(cli.analysis, "phase_sweep",
+                            lambda *a, jobs, **k: seen.append(jobs) or [point])
+        for value in ("1", "3"):
+            assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", "--jobs", value,
+                           "--out", str(tmp_path / "p.csv")) == 0
+        assert seen == [1, 3]
+
     @pytest.mark.parametrize("value", ["-1e308", "-inf", "-nan", "-1e-3"])
     def test_negative_number_is_a_flag_value(self, tmp_path, capsys, value):
         # read as the value of --a, so the finite check or the radius check names it

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,77 @@ class TestSubsampleCounts:
             adj[r, c] = True
         with pytest.raises(ValueError):
             dn._subsample_counts(packed(adj), 0, None)
+
+
+def at_threads(k, fn, *args):
+    """fn(*args) with `dense.THREADS` set to k."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dn, "THREADS", k)
+        return fn(*args)
+
+
+class TestThreads:
+    """The same block, partition and trial at any `dense.THREADS`."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return gen.gen_gbm_t(2500, 2, 0.8, 0.4, seed=61)
+
+    @pytest.mark.parametrize("h", [1, 7, 9, 63, 65, 200, 2000])
+    @pytest.mark.parametrize("cells", [dn._CHUNK_CELLS, 1 << 10])
+    def test_block_bits(self, monkeypatch, instance, h, cells):
+        # two threads answer several chunks at 2^10 cells from h = 63 on (rows
+        # of 8), and at 2^19 cells for h = 2000 (16 chunks of 128 rows)
+        monkeypatch.setattr(dn, "_CHUNK_CELLS", cells)
+        several = h == 2000 or (cells == 1 << 10 and h >= 63)
+        assert (len(at_threads(2, dn._zero_block, h)[1]) > 1) == several
+        sample = np.sort(substream(h).choice(instance.graph.n, h, replace=False))
+        for make in (lambda: dn.GbmEdgeOracle(instance.embeddings, instance.truth, 0.8, 0.4),
+                     lambda: dn.GraphEdgeOracle(instance.graph)):
+            one = at_threads(1, make().query_block_bits, sample)
+            assert np.array_equal(at_threads(2, make().query_block_bits, sample), one)
+
+    def test_block_bits_under_forced_switching(self, monkeypatch, instance):
+        # six threads on fewer cores, switching every microsecond: a lost or
+        # overlapping `_mirror_bits` write would show as a differing word
+        monkeypatch.setattr(dn, "_CHUNK_CELLS", 1 << 13)
+        sample = np.arange(0, instance.graph.n, 2)
+        orc = dn.GbmEdgeOracle(instance.embeddings, instance.truth, 0.8, 0.4)
+        want = at_threads(1, orc._block_answer, sample)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = at_threads(6, orc._block_answer, sample)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(symmetric_blocks(st.integers(0, 200)), st.sampled_from([2, 3]))
+    def test_partition(self, drawn, threads):
+        # at 2^11 cells a block of h rows goes in chunks of 2^11 / (threads h)
+        # rows: several rounds from h = 12 on
+        adj, e_s, e_d = drawn
+        words = packed(adj)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dn, "_COUNT_CELLS", 1 << 11)
+            one = at_threads(1, dn._subsample_counts, words, e_s, e_d)
+            assert np.array_equal(at_threads(threads, dn._subsample_counts, words, e_s, e_d), one)
+        assert np.array_equal(one, kept_partition(adj, e_s, e_d))
+
+    def test_trial(self):
+        # h = 2122: phase 1 counts 5 chunks on one thread and 9 (5 rounds) on
+        # two, and answers 9 chunks on two
+        n, t, r_s, r_d = 3000, 2, 0.8, 0.4
+        plan = th.dense_plan(n, t, r_s, r_d)
+        emb, labels = make_instance(n, t, r_s, r_d, seed=43)
+        res = {k: at_threads(k, dn.dense_recover, dn.GbmEdgeOracle(emb, labels, r_s, r_d),
+                             n, t, r_s, r_d, plan, 19) for k in (1, 2)}
+        assert res[1].status == res[2].status == "ok"
+        assert np.array_equal(res[1].labels, res[2].labels)
+        assert (res[1].phase1_sizes, res[1].ties) == (res[2].phase1_sizes, res[2].ties)
+        assert (res[1].queries_used == res[2].queries_used
+                == plan.h * (plan.h - 1) // 2 + (n - plan.h) * 2 * plan.g)
 
 
 class TestBalanceCheck:

@@ -3,8 +3,10 @@
 Each command runs in a fresh interpreter, because this one has loaded
 scipy.integrate already (pytest's warning filters name its
 IntegrationWarning).  The circle commands and the rag1 sweep must not
-load scipy.integrate, scipy.special, scipy.spatial or the process pool:
-each costs set-up time in every process and none of them is used there.
+load scipy.integrate, scipy.special, scipy.spatial, the process pool or
+the thread pool: each costs set-up time in every process and none of
+them is used there.  The sphere commands `gen` and `recover-hd` use no
+pool either.
 """
 
 import json
@@ -16,7 +18,8 @@ from pathlib import Path
 import gbmlab
 
 SRC = str(Path(gbmlab.__file__).resolve().parents[1])
-DEFERRED = ("scipy.integrate", "scipy.special", "scipy.spatial", "concurrent.futures.process")
+DEFERRED = ("scipy.integrate", "scipy.special", "scipy.spatial", "concurrent.futures.process",
+            "concurrent.futures.thread")
 
 SCRIPT = """
 import json, sys
@@ -63,4 +66,4 @@ def test_sphere_commands_load_what_they_use(tmp_path):
     assert res["codes"] == [0, 0]
     # the sphere sampler's ndtri, the k-d tree and the cap areas' betainc
     assert {"scipy.special", "scipy.spatial"} <= set(res["loaded"])
-    assert "concurrent.futures.process" not in res["loaded"]
+    assert not {"concurrent.futures.process", "concurrent.futures.thread"} & set(res["loaded"])

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy
 
-from gbmlab import cli
+from gbmlab import cli, dense
 from gbmlab import graph as gr
 
 VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -89,10 +89,22 @@ def run_commands(d) -> dict:
             for p in sorted(d.iterdir())}
 
 
-def test_outputs_are_byte_identical(tmp_path):
+def skip_other_versions():
     versions = {"numpy": np.__version__, "scipy": scipy.__version__}
     if versions != VERSIONS:
         pytest.skip(f"digests were recorded with {VERSIONS}, this is {versions}")
+
+
+def test_outputs_are_byte_identical(tmp_path):
+    skip_other_versions()
+    assert run_commands(tmp_path) == DIGESTS
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_outputs_are_byte_identical_at_each_thread_count(tmp_path, monkeypatch, threads):
+    # the dense commands answer and count their blocks on `dense.THREADS` threads
+    skip_other_versions()
+    monkeypatch.setattr(dense, "THREADS", threads)
     assert run_commands(tmp_path) == DIGESTS
 
 
