@@ -6,7 +6,10 @@ error).  Both metrics, the pair f-score and the node error rate, are read
 off one sparse contingency table, `_contingency`, whose size is the
 number of occupied cells.  Connectivity diagnostics work on Graph objects
 or raw edge arrays; phase sweeps generate seeded trial graphs per grid
-point and report empirical frequencies.
+point and report empirical frequencies.  A sweep runs its trials on
+`jobs` threads of this process through `dense._map_chunks`, the helper
+that dense phase 1 uses; the seeds fix each trial, so the output is the
+same for any `jobs`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dense import usable_cores
+from .dense import _map_chunks, usable_cores
 from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _seeded,
                          _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi, sample_circle
@@ -244,22 +247,26 @@ def phase_sweep(n: int, points, trials: int, seed: int,
 
     Trial seeds derive from (seed, grid_index, trial_index) substreams, so
     points are independent and reproducible in isolation.  Output order
-    follows the input grid regardless of execution schedule.
+    follows the input grid regardless of execution schedule.  Share k of
+    the `jobs` shares holds trials k, k + jobs, ...; with jobs = 1 the
+    trials run in order on the caller's thread and no pool is made.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if jobs > usable_cores():
-        # the process pool forks all its workers when it starts
+        # a thread past the cores gains nothing, and each holds one trial's arrays
         raise ValueError(f"jobs must be at most the {usable_cores()} usable cores, got {jobs}")
     tasks = [(family, n, float(a), float(b), c, t, seed, gi, ti)
              for gi, (a, b) in enumerate(points) for ti in range(trials)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_phase_trial, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        results = [_phase_trial(task) for task in tasks]
+    def share(k, _):
+        return [_phase_trial(task) for task in tasks[k::jobs]]
+
+    results = [None] * len(tasks)
+    for k, rs in enumerate(_map_chunks(share, [(k, k + 1) for k in range(jobs)])):
+        results[k::jobs] = rs
     out = []
     for gi, (a, b) in enumerate(points):
         rs = results[gi * trials:(gi + 1) * trials]

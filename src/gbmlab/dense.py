@@ -24,20 +24,20 @@ kept ones are merged.  No h x h boolean and no pair list exists;
 every other temporary is chunk-sized.
 
 Phase 1 runs on up to THREADS threads (the usable cores), through one
-helper, `_map_chunks`, which deals row chunks round-robin to them.  The
-block answer's chunks write disjoint bytes of the packed block.  The
-filter counts a round of THREADS chunks against one snapshot of the
-partition and merges their kept pairs at once, which leaves the
-partition exact.  Chunks hold 1 / THREADS of the serial chunk's cells,
-so the chunks in flight hold what one serial chunk does.  Phase 2 runs
-on the caller's thread.
+helper, `_map_chunks`, which deals row chunks round-robin to them on a
+pool made for the call, so no thread outlives it; `analysis.phase_sweep`
+runs its trials on the same helper.  The block answer's chunks write
+disjoint bytes of the packed block.  The filter counts a round of
+THREADS chunks against one snapshot of the partition and merges their
+kept pairs at once, which leaves the partition exact.  Chunks hold
+1 / THREADS of the serial chunk's cells, so the chunks in flight hold
+what one serial chunk does.  Phase 2 runs on the caller's thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -64,17 +64,6 @@ def usable_cores() -> int:
 
 #: threads of `_map_chunks`, at most; tests set it to compare thread counts
 THREADS = usable_cores()
-_pool = None                    # (workers, ThreadPoolExecutor), made on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-# a forked child has none of the pool's threads; it makes its own pool if it needs one
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _map_chunks(fn, chunks: list) -> list:
@@ -82,36 +71,27 @@ def _map_chunks(fn, chunks: list) -> list:
 
     Chunk k goes to thread k % threads (round-robin), so chunks that shrink
     from first to last still split evenly.  The caller's thread runs share
-    0 and a pool of threads - 1 workers, made on first use, runs the rest;
-    one more arena of freed memory per worker is what the threads cost in
-    resident memory.  With one thread no pool is made and the chunks run
-    in order.  `fn` must be safe to run on several chunks at once, must
-    not call `_map_chunks`, and must call no function that `bench/spans.py`
-    wraps, since its recorder keeps one stack of open spans.
+    0 and a pool of threads - 1 workers, made for this call, runs the
+    rest; the call returns or raises only once every worker has finished,
+    so no thread outlives it.  One more arena of freed memory per worker
+    is what the threads cost in resident memory.  With one thread no pool is made and the chunks run in order.
+    `fn` must be safe to run on several chunks at once, must not call
+    `_map_chunks`, and must call no function that `bench/spans.py` wraps,
+    since its recorder keeps one stack of open spans: a traced phase sweep
+    (`_phase_trial` is a span target) must run at jobs = 1.
     """
     threads = min(THREADS, len(chunks))
     if threads < 2:
         return [fn(*c) for c in chunks]
-    from concurrent.futures import wait
     from concurrent.futures.thread import ThreadPoolExecutor
-
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads - 1:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads - 1, ThreadPoolExecutor(threads - 1, thread_name_prefix="gbmlab"))
-        pool = _pool[1]
 
     def run(share):
         return [fn(*c) for c in share]
 
-    shares = [pool.submit(run, chunks[k::threads]) for k in range(1, threads)]
     out = [None] * len(chunks)
-    try:
+    with ThreadPoolExecutor(threads - 1, thread_name_prefix="gbmlab") as pool:
+        shares = [pool.submit(run, chunks[k::threads]) for k in range(1, threads)]
         out[0::threads] = run(chunks[0::threads])
-    finally:
-        wait(shares)
     for k, share in enumerate(shares, 1):
         out[k::threads] = share.result()
     return out

@@ -129,23 +129,12 @@ def annulus_fraction(t: int, r1: float, r2: float) -> float:
 
 
 def cap_area_small_r(t: int, r: float) -> float:
-    """Leading-order cap fraction c_t r^t / |S^t|, valid as r -> 0.
+    """Leading-order cap fraction c_t r^t / |S^t| = r^t / psi(t), valid as r -> 0.
 
     Asymptotic cross-check only; use cap_fraction for exact values.
     """
-    from scipy.special import gamma
-
     t = _check_dimension(t)
-    c_t = math.pi ** (0.5 * t) / gamma(0.5 * t + 1.0)
-    return c_t * float(r) ** t / sphere_surface_area(t)
-
-
-def sphere_surface_area(t: int) -> float:
-    """Total surface area of S^t embedded in R^(t+1)."""
-    from scipy.special import gamma
-
-    t = _check_dimension(t)
-    return (t + 1) * math.pi ** (0.5 * (t + 1)) / gamma(0.5 * (t + 3))
+    return float(r) ** t / psi(t)
 
 
 def psi(t: int) -> float:

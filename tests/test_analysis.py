@@ -1,4 +1,5 @@
 import math
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -8,10 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gbmlab import analysis as ana
+from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab.geometry import psi
 from gbmlab.graph import from_edges, empty_graph
 from gbmlab.rng import substream
+
+
+def gbmlab_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("gbmlab")]
 
 
 def complete_graph(n):
@@ -288,22 +294,36 @@ class TestPhaseSweep:
 
     def test_jobs_above_the_usable_cores_rejected(self, monkeypatch):
         # the check comes before the pool: a pool made here fails the test
-        import concurrent.futures
+        import concurrent.futures.thread
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            lambda *a, **k: pytest.fail("a process pool was made"))
+        monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor",
+                            lambda *a, **k: pytest.fail("a thread pool was made"))
+        monkeypatch.setattr(dn, "THREADS", 3)
         monkeypatch.setattr(ana, "usable_cores", lambda: 2)
         for jobs in (3, 100_000):
             with pytest.raises(ValueError, match=f"at most the 2 usable cores, got {jobs}"):
                 ana.phase_sweep(1200, [(1.5, 0.9)], trials=2, seed=2, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            ana.phase_sweep(1200, [(1.5, 0.9)], trials=2, seed=2, jobs=jobs)
+
     def test_parallel_jobs_same_output(self, monkeypatch):
-        # two worker processes run on one core too; the bound is tested above
+        # two threads run on one core too; the bound is tested above
         monkeypatch.setattr(ana, "usable_cores", lambda: 2)
+        monkeypatch.setattr(dn, "THREADS", 2)
+        ran_on = set()
+        trial = ana._phase_trial
+        monkeypatch.setattr(ana, "_phase_trial",
+                            lambda task: ran_on.add(threading.current_thread().name) or trial(task))
         pts = [(1.5, 0.9)]
         seq = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=1)
+        assert ran_on == {threading.current_thread().name}
         par = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=2)
         assert seq == par
+        assert any(name.startswith("gbmlab") for name in ran_on)
+        assert not gbmlab_threads()
 
     def test_interval_union_family(self):
         # bands [0, c] u [b, a] scaled: a generous configuration connects,

@@ -243,7 +243,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("cores, value", [(1, "2"), (2, "3"), (2, "100000")])
     def test_phase_jobs_above_the_usable_cores_fail_at_parse_time(self, monkeypatch, capsys,
                                                                   cores, value):
-        # the sweep is replaced, so no worker process can start whatever --jobs says
+        # the sweep is replaced, so no worker thread can start whatever --jobs says
         monkeypatch.setattr(cli.dense, "usable_cores", lambda: cores)
         monkeypatch.setattr(cli.analysis, "phase_sweep", lambda *a, **k: pytest.fail("ran"))
         assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", "--jobs", value) == 1

@@ -1,4 +1,7 @@
+import concurrent.futures.thread
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -347,6 +350,10 @@ class TestSubsampleCounts:
             dn._subsample_counts(packed(adj), 0, None)
 
 
+def gbmlab_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("gbmlab")]
+
+
 def at_threads(k, fn, *args):
     """fn(*args) with `dense.THREADS` set to k."""
     with pytest.MonkeyPatch.context() as mp:
@@ -402,6 +409,47 @@ class TestThreads:
             one = at_threads(1, dn._subsample_counts, words, e_s, e_d)
             assert np.array_equal(at_threads(threads, dn._subsample_counts, words, e_s, e_d), one)
         assert np.array_equal(one, kept_partition(adj, e_s, e_d))
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # each call makes its own pool and returns only once its workers are gone
+        made = []
+
+        class Pool(concurrent.futures.thread.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(dn, "THREADS", 2)
+        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
+        n, t, r_s, r_d = 1500, 2, 0.8, 0.4
+        emb, labels = make_instance(n, t, r_s, r_d, seed=43)
+        res = dn.dense_recover(dn.GbmEdgeOracle(emb, labels, r_s, r_d), n, t, r_s, r_d,
+                               th.dense_plan(n, t, r_s, r_d), 19)
+        assert res.status == "ok" and made
+        assert not gbmlab_threads()
+        pools = len(made)
+        ana.phase_sweep(1200, [(1.5, 0.9)], trials=4, seed=2, jobs=2)
+        assert len(made) == pools + 1
+        assert not gbmlab_threads()
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_raising_share_propagates_and_leaves_no_thread(self, monkeypatch, bad):
+        # chunk 0 is the caller's share and chunk 1 the worker's; the other
+        # share is still running when the exception comes, and finishes
+        monkeypatch.setattr(dn, "THREADS", 2)
+        done = []
+
+        def fn(i0, i1):
+            if i0 == bad:
+                raise RuntimeError(f"chunk {i0}")
+            time.sleep(0.05)
+            done.append(i0)
+
+        with pytest.raises(RuntimeError, match=f"chunk {bad}"):
+            dn._map_chunks(fn, [(0, 1), (1, 2)])
+        assert done == [1 - bad]
+        assert not gbmlab_threads()
 
     def test_trial(self):
         # h = 2122: phase 1 counts 5 chunks on one thread and 9 (5 rounds) on

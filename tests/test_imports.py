@@ -6,7 +6,8 @@ IntegrationWarning).  The circle commands and the rag1 sweep must not
 load scipy.integrate, scipy.special, scipy.spatial, the process pool or
 the thread pool: each costs set-up time in every process and none of
 them is used there.  The sphere commands `gen` and `recover-hd` use no
-pool either.
+pool either, and a sweep on two jobs loads the thread pool and never the
+process pool.
 """
 
 import json
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gbmlab
 
@@ -67,3 +70,10 @@ def test_sphere_commands_load_what_they_use(tmp_path):
     # the sphere sampler's ndtri, the k-d tree and the cap areas' betainc
     assert {"scipy.special", "scipy.spatial"} <= set(res["loaded"])
     assert not {"concurrent.futures.process", "concurrent.futures.thread"} & set(res["loaded"])
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="phase --jobs 2 needs 2 usable cores")
+def test_parallel_sweep_loads_the_thread_pool_only(tmp_path):
+    res = run_fresh([["phase", "--n", "500", "--points", "1.6:1.0", "--family", "rag1",
+                      "--trials", "4", "--jobs", "2", "--out", str(tmp_path / "ph.csv")]])
+    assert res == {"codes": [0], "loaded": ["concurrent.futures.thread"]}
