@@ -15,19 +15,20 @@ from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
 single pairs as sorted index arrays, plus an n-byte mask of touched
 vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
 held as packed bits, h rows of ceil(h / 64) words (the full rows of
-`Graph.packed_rows`), about h^2 / 8 bytes.  It is answered one unordered
-pair at a time and mirrored into those bits.  The filter streams over it
-in row chunks and holds one partition of the sample: a chunk's pairs
-above the diagonal that join two components are counted by
-`recovery._window_counts`, the package's one counting kernel, and the
-kept ones are merged.  No h x h boolean and no pair list exists;
-every other temporary is chunk-sized.
+`Graph.packed_rows`), about h^2 / 8 bytes.  Both oracles fill it by one
+skeleton, `_answer_block`, answering each unordered pair once and
+mirroring it into those bits; the sphere oracle decides by one rule,
+`_gbm_rule`, on column-major points that `squared_chord` reads in place.
+The filter streams over the block in row chunks and holds one partition
+of the sample: a chunk's pairs above the diagonal that join two
+components are counted by `recovery._window_counts`, the package's one
+counting kernel, and the kept ones are merged.  No h x h boolean and no
+pair list exists; every other temporary is chunk-sized.
 
 Phase 1 runs on up to THREADS threads (the usable cores), through one
 helper, `_map_chunks`, which deals row chunks round-robin to them on a
 pool made for the call, so no thread outlives it; `analysis.phase_sweep`
-runs its trials on the same helper.  The block answer's chunks write
-disjoint bytes of the packed block.  The filter counts a round of
+runs its trials on the same helper.  The filter counts a round of
 THREADS chunks against one snapshot of the partition and merges their
 kept pairs at once, which leaves the partition exact.  Chunks hold
 1 / THREADS of the serial chunk's cells, so the chunks in flight hold
@@ -129,6 +130,20 @@ def _mirror_bits(words: np.ndarray, i0: int, answers: np.ndarray) -> None:
     out[i0:i0 + len(rows), b0:b0 + rows.shape[1]] = rows
     cols = np.packbits(np.ascontiguousarray(answers.T), axis=1)
     out[i0:, b0:b0 + cols.shape[1]] = cols
+
+
+def _answer_block(h: int, answer) -> np.ndarray:
+    """The packed words of a size-h symmetric block: `_mirror_bits` of `answer(i0, i1)`,
+    rows i0 to i1 - 1 against columns i0 on, for `_zero_block`'s chunks on `_map_chunks`."""
+    words, chunks = _zero_block(h)
+    _map_chunks(lambda i0, i1: _mirror_bits(words, i0, answer(i0, i1)), chunks)
+    return words
+
+
+def _gbm_rule(x: np.ndarray, labels: np.ndarray, r_s: float, r_d: float, us, vs) -> np.ndarray:
+    """`gen_gbm_t`'s rule on the pairs (us, vs), radii squared as it squares them.  Symmetric
+    bit for bit: (a - b)^2 equals (b - a)^2, and label equality is symmetric."""
+    return squared_chord(x, us, vs) <= np.where(labels[us] == labels[vs], r_s * r_s, r_d * r_d)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -253,20 +268,8 @@ class EdgeOracle:
         return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_answer` on each unordered pair of the sample once, by the row chunks of `_zero_block`.
-
-        Row chunk [i0, i1) is answered against the columns from i0 on
-        only, and packed into its rows and, transposed, into its columns of
-        the `query_block_bits` words, so the block comes out symmetric at
-        half the answers.  The chunks run on `_map_chunks`' threads.
-        """
-        words, chunks = _zero_block(len(sample))
-
-        def answer(i0, i1):
-            _mirror_bits(words, i0, self._answer(sample[i0:i1, None], sample[i0:]))
-
-        _map_chunks(answer, chunks)
-        return words
+        """`_answer` on each unordered pair of the sample once, by `_answer_block`'s row chunks."""
+        return _answer_block(len(sample), lambda i0, i1: self._answer(sample[i0:i1, None], sample[i0:]))
 
 
 class GraphEdgeOracle(EdgeOracle):
@@ -283,10 +286,11 @@ class GraphEdgeOracle(EdgeOracle):
 
 
 class GbmEdgeOracle(EdgeOracle):
-    """Oracle answering from latent positions and the block-model rule.
+    """Oracle answering from latent positions and the block-model rule, `_gbm_rule`.
 
     Equivalent to a GraphEdgeOracle over the materialized instance, but
-    without building Theta(n^2 B) edges up front.
+    without building Theta(n^2 B) edges up front.  ValueError unless there
+    is one label per point and 0 <= r_d <= r_s <= 2, as `gen_gbm_t` checks.
     """
 
     def __init__(self, embeddings: np.ndarray, labels: np.ndarray,
@@ -294,39 +298,27 @@ class GbmEdgeOracle(EdgeOracle):
         embeddings = np.asarray(embeddings, dtype=float)
         if embeddings.ndim != 2:
             raise ValueError("sphere embeddings of shape (n, t+1) expected")
+        labels = np.asarray(labels)
+        if labels.shape != (len(embeddings),):
+            raise ValueError(f"labels of shape ({len(embeddings)},) expected, got {labels.shape}")
+        if not 0.0 <= r_d <= r_s <= 2.0:
+            raise ValueError(f"need 0 <= r_d <= r_s <= 2, got r_s={r_s}, r_d={r_d}")
         super().__init__(len(embeddings))
-        self._x = embeddings
-        self._labels = np.asarray(labels)
-        self._thr2 = (float(r_s) ** 2, float(r_d) ** 2)
+        self._x = np.asfortranarray(embeddings)
+        self._labels = labels
+        self._r_s, self._r_d = float(r_s), float(r_d)
 
     def _answer(self, us, vs):
-        d2 = squared_chord(self._x, us, vs)
-        same = self._labels[us] == self._labels[vs]
-        return d2 <= np.where(same, self._thr2[0], self._thr2[1])
+        return _gbm_rule(self._x, self._labels, self._r_s, self._r_d, us, vs)
 
     def _block_answer(self, sample):
-        """`_answer` on each unordered pair of the sample once, by row chunks.
-
-        As in `EdgeOracle._block_answer`, row chunk [i0, i1) meets
-        only the columns from i0 on and is mirrored.  This is exact: each
-        coordinate's (a - b)^2 equals (b - a)^2 bit for bit, and label
-        equality is symmetric.  The chunks run on `_map_chunks`' threads,
-        and the temporaries of the chunks in flight hold about 2^19 floats
-        together, so the block costs its packed words plus a few MB.
-        """
-        xs = self._x[sample]
+        """`_gbm_rule` on each unordered pair of the sample once, its points gathered
+        column-major.  The chunks call `_gbm_rule`, not `_answer`, a `bench/spans.py` target."""
+        xs = np.asfortranarray(self._x[sample])
         labels = self._labels[sample]
         idx = np.arange(len(sample))
-        words, chunks = _zero_block(len(sample))
-
-        def answer(i0, i1):
-            rows, cols = idx[i0:i1, None], idx[i0:]
-            d2 = squared_chord(xs, rows, cols)
-            same = labels[rows] == labels[cols]
-            _mirror_bits(words, i0, d2 <= np.where(same, self._thr2[0], self._thr2[1]))
-
-        _map_chunks(answer, chunks)
-        return words
+        return _answer_block(len(sample), lambda i0, i1: _gbm_rule(
+            xs, labels, self._r_s, self._r_d, idx[i0:i1, None], idx[i0:]))
 
 
 def phase1_balance_check(h: int, c1: int, c2: int) -> bool:

@@ -52,9 +52,10 @@ def chord_of_geodesic(d):
 def squared_chord(x: np.ndarray, u, v) -> np.ndarray:
     """|x[u] - x[v]|^2 for the rows of x picked by index arrays u, v (broadcast together).
 
-    Summed coordinate by coordinate, in index order.  The one sphere edge
-    formula: generators, their audit and both dense-oracle answers call
-    it, so a pair at distance exactly r is decided the same way everywhere.
+    Summed coordinate by coordinate, in index order; a column-major x is
+    read in place, any other copied.  The one sphere edge formula: the
+    generators, their audit and the dense oracle's rule call it, each
+    against r * r, so a pair at distance exactly r gets one answer.
     """
     cols = np.ascontiguousarray(x.T)
     d2 = (cols[0][u] - cols[0][v]) ** 2

@@ -1,4 +1,5 @@
 import concurrent.futures.thread
+import math
 import sys
 import threading
 import time
@@ -6,14 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gbmlab import analysis as ana
 from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab import recovery as rec
 from gbmlab import thresholds as th
-from gbmlab.geometry import sample_sphere
+from gbmlab.geometry import sample_sphere, squared_chord
 from gbmlab.graph import from_edges
 from gbmlab.rng import substream
 
@@ -95,8 +96,8 @@ class TestEdgeOracle:
         rng = substream(5, t)
         for _ in range(100):
             a, b = rng.choice(len(iu), 2, replace=False)
-            r_s = float(np.linalg.norm(emb[iu[a]] - emb[jv[a]]))
-            r_d = float(np.linalg.norm(emb[iu[b]] - emb[jv[b]]))
+            # the oracle takes r_d <= r_s, so the larger distance is r_s
+            r_d, r_s = sorted(float(np.linalg.norm(emb[iu[k]] - emb[jv[k]])) for k in (a, b))
             block = dn.GbmEdgeOracle(emb, labels, r_s, r_d).query_block(np.arange(n))
             pairs = dn.GbmEdgeOracle(emb, labels, r_s, r_d).query_pairs(iu, jv)
             assert np.array_equal(block[iu, jv], pairs)
@@ -129,6 +130,21 @@ class TestEdgeOracle:
         assert np.array_equal(ans, (np.arange(10)[:, None] + np.arange(n - 20, n)) % 2 == 0)
         # (3, n - 1) came with the cross block; (0, n - 20) and (7, n - 2) too
         assert orc.queries == 10 * 20 + 2
+
+    def test_points_read_in_place(self):
+        # one pair of n = 2e5 points on S^2: the answer allocates a few index
+        # and label temporaries, not a copy of the points' 8 n (t + 1) bytes
+        n, t = 200_000, 2
+        orc = dn.GbmEdgeOracle(sample_sphere(substream(4), n, t), np.arange(n) % 2, 0.6, 0.4)
+        us, vs = np.array([0]), np.array([n - 1])
+        orc._answer(us, vs)
+        tracemalloc.start()
+        try:
+            orc._answer(us, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n * (t + 1)
 
     def test_rejects_self_pairs(self):
         inst = gen.gen_gbm_t(20, 2, 0.6, 0.3, seed=2)
@@ -224,6 +240,96 @@ class TestQueryCross:
         with pytest.raises(ValueError):
             orc.query_cross(rows, cols)
         assert orc.queries == 0
+
+
+def at_squared_distance(d2):
+    """A point (a, b) of the plane whose `squared_chord` to the origin is exactly d2."""
+    a = math.sqrt(d2)
+    while a * a > d2:
+        a = math.nextafter(a, 0.0)
+    # d2 - a * a is exact and below a few ulps of d2, so b * b lands it on d2
+    return a, math.sqrt(d2 - a * a)
+
+
+def rule_instance(x, labels, r_s, r_d, oracle):
+    """The instance whose edges are the oracle's answers on every pair of x."""
+    iu, jv = np.triu_indices(len(x), 1)
+    edges = oracle.query_pairs(iu, jv)
+    return gen.GbmInstance(graph=from_edges(len(x), iu[edges], jv[edges]), truth=labels,
+                           embeddings=x, params={"r_s": r_s, "r_d": r_d})
+
+
+class TestRule:
+    """The oracle decides a pair as `gen_gbm_t` does, at distance exactly r too."""
+
+    def test_pair_at_exactly_r_d(self):
+        # r_d ** 2 (pow) is one ulp above r_d * r_d, and this pair's d2 lies between
+        # them: the generator, its audit and its pair scan leave it out
+        r_s, r_d = 0.9, 0.4885890606031673
+        assert r_d ** 2 == 0.23871927014108552 and r_d * r_d == 0.2387192701410855
+        x = np.array([[0.0, 0.0], [r_d, 3.727361915182192e-09]])
+        labels = np.array([0, 1])
+        assert len(gen._sphere_pairs_within(x, 0.0, r_d)[0]) == 0
+        assert not dn.GbmEdgeOracle(x, labels, r_s, r_d).query_pairs([0], [1]).any()
+        assert not dn.GbmEdgeOracle(x, labels, r_s, r_d).query_block([0, 1]).any()
+        assert not dn.GbmEdgeOracle(x, labels, r_s, r_d).query_cross([0], [1]).any()
+        edgeless = gen.GbmInstance(graph=from_edges(2, [], []), truth=labels, embeddings=x,
+                                   params={"r_s": r_s, "r_d": r_d})
+        assert gen.recheck_instance(edgeless, non_edge_sample=20)
+        edge = gen.GbmInstance(graph=from_edges(2, [0], [1]), truth=labels, embeddings=x,
+                               params={"r_s": r_s, "r_d": r_d})
+        assert not gen.recheck_instance(edge)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 2.0), st.floats(0.0, 1.0), st.integers(1, 6))
+    @example(0.4885890606031673, 0.9, 3)
+    @example(0.4885890606031673, 1.0, 3)
+    def test_pairs_at_r_and_its_neighbours(self, r_d, u, k):
+        # from the origin (label 0): points at d2 just below, at and just above
+        # r_s * r_s (label 0), then r_d * r_d (label 1)
+        r_s = r_d + u * (2.0 - r_d)
+        rows = [(0.0, 0.0)]
+        for r in (r_s, r_d):
+            d2 = r * r
+            rows += [at_squared_distance(v) for v in (math.nextafter(d2, 0.0), d2,
+                                                      math.nextafter(d2, 5.0))]
+        x = np.array(rows)
+        labels = np.array([0, 0, 0, 0, 1, 1, 1])
+        d2 = squared_chord(x, np.zeros(6, np.int64), np.arange(1, 7))
+        for r, got in ((r_s, d2[:3]), (r_d, d2[3:])):
+            assert list(got) == [math.nextafter(r * r, 0.0), r * r, math.nextafter(r * r, 5.0)]
+        make = lambda: dn.GbmEdgeOracle(x, labels, r_s, r_d)
+        inst = rule_instance(x, labels, r_s, r_d, make())
+        assert gen.recheck_instance(inst, non_edge_sample=2000, seed=1)
+        adj = inst.graph.adjacency_bool()
+        assert list(adj[0, 1:]) == [True, True, False] * 2
+        bits = make().query_block_bits(np.arange(7))
+        assert np.array_equal(np.unpackbits(bits.view(np.uint8), axis=1, count=7).view(bool), adj)
+        assert np.array_equal(make().query_cross(np.arange(k), np.arange(k, 7)), adj[:k, k:])
+
+
+class TestGbmOracleInputs:
+    """`GbmEdgeOracle` takes one label per point and the radii `gen_gbm_t` takes."""
+
+    emb = sample_sphere(substream(3), 10, 2)
+
+    @pytest.mark.parametrize("labels", [np.zeros(20, np.int8), np.zeros(5, np.int8),
+                                        np.zeros((10, 2), np.int8), np.int8(0)])
+    def test_labels_one_per_point(self, labels):
+        with pytest.raises(ValueError, match=r"labels of shape \(10,\) expected"):
+            dn.GbmEdgeOracle(self.emb, labels, 0.6, 0.4)
+
+    @pytest.mark.parametrize("r_s, r_d", [(0.4, 0.6), (0.6, -0.1), (2.1, 0.4), (float("nan"), 0.4)])
+    def test_radii_as_the_generator_takes_them(self, r_s, r_d):
+        with pytest.raises(ValueError, match="need 0 <= r_d <= r_s <= 2"):
+            dn.GbmEdgeOracle(self.emb, np.zeros(10, np.int8), r_s, r_d)
+        with pytest.raises(ValueError, match="need 0 <= r_d <= r_s <= 2"):
+            gen.gen_gbm_t(10, 2, r_s, r_d, seed=0)
+
+    @pytest.mark.parametrize("r_s, r_d", [(0.0, 0.0), (0.5, 0.5), (2.0, 0.0), (2.0, 2.0)])
+    def test_radii_at_the_bounds(self, r_s, r_d):
+        orc = dn.GbmEdgeOracle(self.emb, np.zeros(10, np.int8), r_s, r_d)
+        assert orc.query_block(np.arange(10)).shape == (10, 10)
 
 
 def packed(adj):

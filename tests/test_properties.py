@@ -685,7 +685,7 @@ class TestProbeRecord:
         if data.draw(st.booleans()):
             x = sample_sphere(substream(data.draw(st.integers(0, 2 ** 32 - 1))), n, 2)
             labels = np.arange(n) % 2
-            r_s, r_d = data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.1, 2.0))
+            r_d, r_s = sorted((data.draw(st.floats(0.1, 2.0)), data.draw(st.floats(0.1, 2.0))))
             oracle = dn.GbmEdgeOracle(x, labels, r_s, r_d)
             d2 = ((x[:, None] - x[None, :]) ** 2).sum(axis=-1)
             rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
@@ -732,7 +732,7 @@ class TestSymmetricBlock:
         rng = substream(data.draw(st.integers(0, 2 ** 32 - 1)))
         x = sample_sphere(rng, n, 2)
         labels = rng.integers(0, 2, n)
-        r_s, r_d = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))
+        r_d, r_s = sorted((data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))))
         # the rule on every ordered pair, summed coordinate by coordinate
         d2 = sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1]))
         rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
@@ -758,7 +758,7 @@ class TestSymmetricBlock:
         rng = substream(data.draw(st.integers(0, 2 ** 32 - 1)))
         x = sample_sphere(rng, n, 2)
         labels = rng.integers(0, 2, n)
-        r_s, r_d = data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))
+        r_d, r_s = sorted((data.draw(st.floats(0.3, 1.5)), data.draw(st.floats(0.3, 1.5))))
         d2 = sum((x[:, k, None] - x[None, :, k]) ** 2 for k in range(x.shape[1]))
         rule = d2 <= np.where(labels[:, None] == labels[None, :], r_s * r_s, r_d * r_d)
         del d2
