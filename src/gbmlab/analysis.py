@@ -24,7 +24,7 @@ from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _
                          _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi, sample_circle
 from .graph import Graph
-from .recovery import UNASSIGNED, _components
+from .recovery import UNASSIGNED, _components, _pair_rows
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def node_error_rate(pred, truth) -> float:
 
 
 def component_count(graph: Graph) -> int:
-    return _components(graph.n, graph.edges[:, 0], graph.edges[:, 1])[0]
+    return _components(graph.n, graph.indptr, graph.indices)[0]
 
 
 def is_connected(graph: Graph) -> bool:
@@ -104,7 +104,7 @@ def is_connected(graph: Graph) -> bool:
 
 def _components_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> int:
     """Component count of raw edge arrays, for large Monte-Carlo sweeps."""
-    return _components(n, u, v)[0]
+    return _components(n, *_pair_rows(n, u, v))[0]
 
 
 def isolated_count(graph: Graph) -> int:
@@ -187,32 +187,36 @@ def _circle_bands_connectivity(p: np.ndarray, bands) -> tuple[bool, int, int]:
     with an edge iff the wraparound distance lies in one of the closed bands (lo, hi).
 
     No pair is listed: each rank's neighbours above it are the windows of
-    ``_circle_band_ranges``, disjoint ranges of ranks.  A rank is
-    isolated iff it heads no non-empty range and no range covers it; the
-    coverage is a difference array.  Ranks j and j + 1 inside one range
-    are both neighbours of its head, so each maximal run of such links is
-    connected, and every rank of a range lies in the run of its first
-    rank.  The graph's components are thus those of the run graph with
-    one edge per non-empty range, run(head) - run(first rank).
+    ``_circle_band_ranges``, disjoint ranges of ranks.  Only the non-empty
+    ranges are kept, as one list of (head, start, stop): a window is
+    non-empty for few ranks.  A rank is isolated iff it heads no range and
+    no range covers it; the coverage is a difference array.  Ranks j and
+    j + 1 inside one range are both neighbours of its head, so each
+    maximal run of such links is connected, and every rank of a range lies
+    in the run of its first rank.  The graph's components are thus those
+    of the run graph with one edge per range, run(head) - run(start).
+    Within a window heads ascend and ``run`` does not decrease, so a
+    repeated edge follows its first copy; self-loops and such repeats are
+    dropped, and each run edge is passed once per window.
     """
     n = len(p)
     if n == 0:
         return False, 0, 0
-    windows = _circle_band_ranges(p, bands)
-    starts = np.stack([s for s, _ in windows])     # one row per window
-    lens = np.stack([k for _, k in windows])
-    # an empty range adds and removes its count at its start, so it cancels
-    opened = np.bincount(starts.ravel(), minlength=n + 1)
-    covered = np.cumsum(opened - np.bincount((starts + lens).ravel(), minlength=n + 1))[:n] > 0
-    isolated = n - int(np.count_nonzero(covered | np.any(lens > 0, axis=0)))
+    kept = [(np.flatnonzero(k), s, k) for s, k in _circle_band_ranges(p, bands)]
+    head = np.concatenate([h for h, _, _ in kept])
+    start = np.concatenate([s[h] for h, s, _ in kept])
+    stop = start + np.concatenate([k[h] for h, _, k in kept])
+    opened = np.bincount(start, minlength=n + 1)
+    covered = np.cumsum(opened - np.bincount(stop, minlength=n + 1))[:n] > 0
+    covered[head] = True
+    isolated = n - int(np.count_nonzero(covered))
     # link j (ranks j and j + 1) lies in every range that holds both
-    last = np.maximum(starts + lens - 1, starts).ravel()
-    linked = np.cumsum(opened - np.bincount(last, minlength=n + 1))[:n - 1] > 0
+    linked = np.cumsum(opened - np.bincount(stop - 1, minlength=n + 1))[:n - 1] > 0
     run = np.concatenate(([0], np.cumsum(~linked)))
-    first = np.take(run, starts, mode="clip")
-    edge = (lens > 0) & (first != run)
-    ncomp = _components_from_edges(int(run[-1]) + 1, np.broadcast_to(run, first.shape)[edge],
-                                   first[edge])
+    u, v = run[head], run[start]
+    edge = u != v
+    edge[1:] &= (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    ncomp = _components_from_edges(int(run[-1]) + 1, u[edge], v[edge])
     return ncomp == 1, isolated, ncomp
 
 

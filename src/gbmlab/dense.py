@@ -47,7 +47,7 @@ import numpy as np
 
 from .geometry import squared_chord
 from .graph import Graph
-from .recovery import UNASSIGNED, _components, _keep, _label_two_largest, _window_counts
+from .recovery import UNASSIGNED, _components, _keep, _label_two_largest, _pair_rows, _window_counts
 from .rng import substream
 from .thresholds import DensePlan
 
@@ -402,7 +402,7 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
         if len(uu):
             # each id is its component's smallest member, so merging the ids of the
             # kept pairs' ends gives each old component the smallest id of its new one
-            comp = _components(h, comp[uu], comp[vv])[1][comp]
+            comp = _components(h, *_pair_rows(h, comp[uu], comp[vv]))[1][comp]
     if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
     return comp

@@ -31,33 +31,50 @@ from .thresholds import finite_size_exponent, thresholds_1d, thresholds_hd
 UNASSIGNED = -1
 
 
-def _components(n: int, u, v) -> tuple[int, np.ndarray]:
-    """(count, smallest-member id per vertex) of the undirected graph on pairs u-v.
+def _pair_rows(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs u-v as CSR rows (indptr, cols) on n vertices, each pair in row u only.
 
-    The one components engine of the package.  It builds the CSR matrix
-    of the pairs itself, each pair in one direction: row pointers from a
-    count of u, and columns v in the order of one stable argsort of u,
-    which is a single pass when the rows arrive grouped (rank-order band
-    rows, `Graph.edges`, the double cover of `recover_with_locations`).
-    No COO matrix is built, so no row gets sorted, no duplicate summed and
-    no symmetrized copy made; the float64 data is csgraph's own dtype, so
-    its validation copies nothing.  The weak components of this directed
-    graph are the components of the undirected one.  Repeated pairs and
-    self-pairs are allowed.  Raises ValueError on a vertex id out of range
-    or on pair arrays of unequal length.
+    The one grouping step for callers of `_components` that hold pairs:
+    row pointers from a count of u, and columns v in the order of one
+    stable argsort of u, which is a single pass when the pairs arrive
+    grouped (`Graph.edges`, the run graph of the phase trials).  Raises
+    ValueError on pair arrays of unequal length or a u out of range;
+    `_components` checks the columns.
     """
     u = np.asarray(u)
     v = np.asarray(v)
     if len(u) != len(v):
         raise ValueError("pair arrays differ in length")
-    if len(u) == 0:
-        return n, np.arange(n, dtype=np.int64)
-    counts = np.bincount(u, minlength=n)    # raises on a negative id
-    if len(counts) > n or v.min() < 0 or v.max() >= n:
-        raise ValueError("vertex id out of range")
     indptr = np.zeros(n + 1, dtype=np.int64)
+    if len(u) == 0:
+        return indptr, np.empty(0, dtype=np.int64)
+    counts = np.bincount(u, minlength=n)    # raises on a negative id
+    if len(counts) > n:
+        raise ValueError("vertex id out of range")
     np.cumsum(counts, out=indptr[1:])
-    cols = v[np.argsort(u, kind="stable")]
+    return indptr, v[np.argsort(u, kind="stable")]
+
+
+def _components(n: int, indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, smallest-member id per vertex) of the undirected graph with an edge i-j
+    for each j in cols[indptr[i]:indptr[i + 1]].
+
+    The one components engine of the package.  It takes CSR rows as
+    scipy stores them: the graph's own rows (`component_count`), the
+    double cover built straight from the band rows
+    (`recover_with_locations`), or pairs grouped by `_pair_rows`.  An
+    edge need appear in one of its two rows only, and repeated edges and
+    self-loops are allowed.  No COO matrix is built, so no row gets
+    sorted, no duplicate summed and no symmetrized copy made; the float64
+    data is csgraph's own dtype, so its validation copies nothing.  The
+    weak components of this directed graph are the components of the
+    undirected one.  Raises ValueError on a column out of range.
+    """
+    cols = np.asarray(cols)
+    if len(cols) == 0:
+        return n, np.arange(n, dtype=np.int64)
+    if cols.min() < 0 or cols.max() >= n:
+        raise ValueError("vertex id out of range")
     adj = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(n, n))
     ncomp, raw = csgraph.connected_components(adj, directed=True, connection="weak")
     smallest = np.full(ncomp, n, dtype=np.int64)
@@ -68,7 +85,7 @@ def _components(n: int, u, v) -> tuple[int, np.ndarray]:
 def connected_components(n: int, edges) -> np.ndarray:
     """Component id per vertex (smallest member id) from an edge array."""
     edges = np.asarray(edges).reshape(-1, 2)
-    return _components(n, edges[:, 0], edges[:, 1])[1]
+    return _components(n, *_pair_rows(n, edges[:, 0], edges[:, 1]))[1]
 
 
 def _window_counts(rows: np.ndarray, starts: np.ndarray,
@@ -227,10 +244,10 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     The constraints are solved as components of their signed double cover
     on 2n vertices, where vertex u + n stands for "u in the other cluster":
     a same pair links u-v and (u+n)-(v+n), a different pair u-(v+n) and
-    (u+n)-v.  The cover is built on the rank-order rows of the band
-    primitive and its components are mapped back to vertex ids.  The
-    constraints contradict each other iff some u shares a
-    component with u + n; that means the input was not generated by a
+    (u+n)-v.  The cover's CSR rows are built straight from the rank-order
+    rows of the band primitive, and its components are mapped back to
+    vertex ids.  The constraints contradict each other iff some u shares
+    a component with u + n; that means the input was not generated by a
     block model with these radii (status "conflict", no labels).
     Otherwise the largest constraint component (ties: the one with the
     smallest member) is labeled, its smallest vertex with 0; vertices in
@@ -256,14 +273,15 @@ def recover_with_locations(graph: Graph, embeddings: np.ndarray,
     # rank i stands for vertex order[i], and i + n for order[i] + n
     order, indptr, cols = _circle_band_rows(embeddings, [(r_d, r_s)])
     pairs = len(cols)
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     cols = cols.astype(np.int32)
-    shift = np.where(graph.has_edges(order[rows], order[cols]), 0, n).astype(np.int32)   # 0: same pair, n: different pair
-    src = np.concatenate([rows, rows + np.int32(n)])
-    dst = np.concatenate([cols + shift, cols + (np.int32(n) - shift)])
-    del rows, cols, shift
-    _, rank_cid = _components(2 * n, src, dst)
-    del src, dst
+    same = graph.has_edges(np.repeat(order, np.diff(indptr)), order[cols])
+    shift = np.where(same, 0, n).astype(np.int32)    # 0: same pair, n: different pair
+    # row i of the cover holds cols + shift, and row i + n holds cols + n - shift
+    cover_ptr = np.concatenate([indptr, indptr[-1] + indptr[1:]])
+    cover_cols = np.concatenate([cols + shift, cols + (np.int32(n) - shift)])
+    del cols, same, shift
+    _, rank_cid = _components(2 * n, cover_ptr, cover_cols)
+    del cover_cols
     # back to vertex ids, each component named by its smallest vertex-id member
     cover = np.concatenate([order, order + n])
     smallest = np.full(2 * n, 2 * n, dtype=np.int64)

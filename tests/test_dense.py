@@ -346,7 +346,7 @@ def kept_partition(adj, e_s, e_d):
     u, v = np.nonzero(np.triu(adj, 1))
     a = adj.astype(np.float64)     # counts below 2^53 are exact in float64
     keep = rec._keep((a @ a)[u, v].astype(np.int64), e_s, e_d)
-    return rec._components(len(adj), u[keep], v[keep])[1]
+    return rec._components(len(adj), *rec._pair_rows(len(adj), u[keep], v[keep]))[1]
 
 
 @st.composite
@@ -382,7 +382,7 @@ class TestSubsampleCounts:
         assert np.array_equal(counts, (a @ a)[uu, vv])
         comp = dn._subsample_counts(packed(adj), 0, None)
         assert comp.shape == (h,)
-        assert np.array_equal(comp, rec._components(h, uu, vv)[1])
+        assert np.array_equal(comp, rec._components(h, *rec._pair_rows(h, uu, vv))[1])
 
     def test_several_row_chunks(self):
         # h = 1500 is read in row chunks of 2^20 // 1500 = 699 rows

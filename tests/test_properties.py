@@ -95,10 +95,17 @@ class TestConnectedComponents:
         assert np.array_equal(got, bfs_components(n, edges.tolist()))
 
     @SETTINGS
-    @given(component_inputs())
-    def test_engine_matches_bfs(self, case):
+    @given(component_inputs(), st.booleans())
+    def test_engine_matches_bfs(self, case, as_rows):
         n, u, v = case
-        count, comp = rec._components(n, u, v)
+        if as_rows:
+            # CSR rows as a caller holding rows passes them: row u holds v, the
+            # columns of each row in descending order
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
+            rows = indptr, v[np.lexsort((-v, u))]
+        else:
+            rows = rec._pair_rows(n, u, v)
+        count, comp = rec._components(n, *rows)
         want = bfs_components(n, zip(u.tolist(), v.tolist()))
         assert np.array_equal(comp, want)
         assert count == len(np.unique(want))
@@ -253,12 +260,13 @@ def brute_force_two_colouring(n, pairs):
 
 @st.composite
 def located_instances(draw):
-    """Circle positions on a 1/64 grid (exact in binary), radii and a perturbed GBM graph."""
-    slots = draw(st.lists(st.integers(0, 63), min_size=3, max_size=24, unique=True))
-    n = len(slots)
-    x = np.array(slots, dtype=float) / 64
-    i_d = draw(st.integers(0, 24))
-    r_d, r_s = i_d / 64, draw(st.integers(i_d + 2, 32)) / 64
+    """Circle positions and radii on one grid (exact in binary), and a perturbed GBM graph:
+    up to 24 positions on the 1/64 grid, or up to 200 on the 1/4096 grid."""
+    grid, max_n = draw(st.sampled_from([(64, 24), (4096, 200)]))
+    n = draw(st.integers(3, max_n))
+    x = substream(draw(st.integers(0, 2 ** 32 - 1))).choice(grid, n, replace=False) / grid
+    i_d = draw(st.integers(0, 24 * grid // 64))
+    r_d, r_s = i_d / grid, draw(st.integers(i_d + 2, 32 * grid // 64)) / grid
     truth = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     uu, vv = np.triu_indices(n, 1)
     d = np.abs(x[uu] - x[vv])
@@ -480,19 +488,25 @@ class TestCircleBandPairs:
 
 @st.composite
 def circle_band_unions(draw):
-    """(p, bands): sorted positions on a 1/64 grid, with ties, and one or two
-    closed bands with radii on the same grid, lo > hi (an empty band) included."""
-    n = draw(st.integers(1, 300))
-    p = np.sort(substream(draw(st.integers(0, 2 ** 32 - 1))).integers(0, 64, n) / 64)
-    radius = st.integers(0, 40).map(lambda k: k / 64)
+    """(p, bands): sorted positions with ties and one to three closed bands, lo > hi (an
+    empty band) included.  Positions and radii lie on one grid, exact in binary: 1/64 with
+    up to 300 positions and radii up to 40/64, or 1/4096 with up to 2 000 positions and
+    radii up to 40/4096, where runs span several ranges, run edges repeat and a few ranks
+    have non-empty wrap windows.  A band near 1/2 keeps the pairs few at any n."""
+    grid, max_n = draw(st.sampled_from([(64, 300), (4096, 2000)]))
+    n = draw(st.integers(1, max_n))
+    p = np.sort(substream(draw(st.integers(0, 2 ** 32 - 1))).integers(0, grid, n) / grid)
+    radius = st.integers(0, 40).map(lambda k: k / grid)
     bands = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         lo, hi = draw(radius), draw(radius)
-        shape = draw(st.sampled_from(["as drawn", "lo = 0", "hi >= 1/2"]))
+        shape = draw(st.sampled_from(["as drawn", "lo = 0", "hi >= 1/2", "near 1/2"]))
         if shape == "lo = 0":
             lo = 0.0
         elif shape == "hi >= 1/2":
-            hi = draw(st.integers(32, 64)) / 64
+            hi = draw(st.integers(grid // 2, grid)) / grid
+        elif shape == "near 1/2":
+            lo, hi = max(0.5 - lo, 0.0), 0.5 + hi
         bands.append((lo, hi))
     return p, bands
 
@@ -507,7 +521,7 @@ def band_union_reference(p, bands):
         vs.append(order[cols])
     u, v = np.concatenate(us), np.concatenate(vs)
     isolated = int((np.bincount(u, minlength=n) + np.bincount(v, minlength=n) == 0).sum())
-    ncomp = rec._components(n, u, v)[0]
+    ncomp = rec._components(n, *rec._pair_rows(n, u, v))[0]
     return ncomp == 1, isolated, ncomp
 
 
@@ -533,7 +547,7 @@ class TestCircleBandsConnectivity:
             else:
                 ivs = gen.IntervalSet(((0.0, c * ln / n), (b * ln / n, a * ln / n)))
                 g, _ = gen.gen_interval_union_graph(n, ivs, (seed, 0, 0))
-            ncomp = rec._components(n, g.edges[:, 0], g.edges[:, 1])[0]
+            ncomp = rec._components(n, g.indptr, g.indices)[0]
             iso = int((g.degrees() == 0).sum())
             got = ana._phase_trial((family, n, a, b, c, 1, seed, 0, 0))
             assert got == (ncomp == 1, iso > 0, ncomp)
