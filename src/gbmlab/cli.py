@@ -21,7 +21,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import SCHEMA, __version__
-from . import analysis, dense, generators, graph as graphio, recovery, thresholds
+from . import analysis, dense, generators, geometry, graph as graphio, recovery, rng, thresholds
 from .graph import trim_heap as _trim_heap
 
 
@@ -307,12 +307,8 @@ def _cmd_recover_loc(args) -> int:
 def _cmd_dense(args) -> int:
     rs, rd = _resolve_radii(args, args.n, args.t)
     plan = thresholds.dense_plan(args.n, args.t, rs, rd, args.theta_s, args.theta_d)
-    inst_rng_seed = args.seed
     # the oracle answers from latent positions; no quadratic edge list is built
-    from .geometry import sample_sphere
-    from .rng import substream
-    rng = substream(inst_rng_seed)
-    emb = sample_sphere(rng, args.n, args.t)
+    emb = geometry.sample_sphere(rng.substream(args.seed), args.n, args.t)
     labels = np.zeros(args.n, np.int8)
     labels[args.n // 2:] = 1
     oracle = dense.GbmEdgeOracle(emb, labels, rs, rd)

@@ -1,13 +1,14 @@
 """Immutable simple undirected graph with sorted adjacency.
 
 Stored once, as a CSR-style (indptr, indices) pair holding both
-orientations of every edge in strictly sorted rows.  The unique edge list
-with u < v, which keeps file output canonical, is read off those rows on
-first use (`Graph.edges`), and `Graph.layout` packs them once for
-counting and membership.  ``trims_heap`` marks the calls that build
-pair-sized arrays: they hand the heap's free pages back when they end.
-Every text file the package writes (graph, embeddings, labels, and the
-CLI's CSV) goes through one row writer, `_write_rows`.
+orientations of every edge in strictly sorted rows, which the package's
+one grouping step, `_key_rows`, builds from int64 pair keys.  The unique
+edge list with u < v, which keeps file output canonical, is read off
+those rows on first use (`Graph.edges`), and `Graph.layout` packs them
+once for counting and membership.  ``trims_heap`` marks the calls that
+build pair-sized arrays: they hand the heap's free pages back when they
+end.  Every text file the package writes (graph, embeddings, labels, and
+the CLI's CSV) goes through one row writer, `_write_rows`.
 """
 
 from __future__ import annotations
@@ -198,30 +199,38 @@ class Graph:
             raise ValueError("adjacency not symmetric")
 
 
+def _key_rows(n: int, keys: np.ndarray) -> np.ndarray:
+    """CSR row pointers of the int64 pair keys u * n + v, each in [0, n * n), which it sorts
+    in place unless they already ascend; row u's columns are then its keys % n, ascending.
+    The one grouping step, shared by `from_edges` and `recovery._pair_rows`."""
+    if np.any(keys[1:] < keys[:-1]):
+        keys.sort()
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+
+
 def from_edges(n: int, u, v) -> Graph:
     """Build a Graph from parallel endpoint arrays (any orientation).
 
-    Raises ValueError on a self-loop or a pair given twice.  The CSR rows
-    come from one sort of the keys u * n + v of both orientations, which
-    also finds a repeated pair: its key lo * n + hi is the smallest
-    repeated key, since lo * n + hi < hi * n + lo.
+    Raises ValueError on a self-loop or a pair given twice.  `_key_rows` groups
+    the keys of both orientations, and the sorted keys show a repeated pair: its
+    key lo * n + hi is the smallest repeated key, since lo * n + hi < hi * n + lo.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     if len(u) != len(v):
         raise ValueError("endpoint arrays differ in length")
     if len(u) and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("vertex id out of range")
     if np.any(u == v):
         raise ValueError(f"self-loop at vertex {int(u[np.argmax(u == v)])}")
-    both = np.concatenate([u * n + v, v * n + u])
-    both.sort()
-    dup = np.flatnonzero(both[1:] == both[:-1])
+    keys = np.concatenate([u, v])          # u * n + v, then v * n + u, in one array
+    keys *= n
+    keys[:len(u)] += v
+    keys[len(u):] += u
+    indptr = _key_rows(n, keys)
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
     if len(dup):
-        raise ValueError(f"duplicate edge {divmod(int(both[dup[0]]), n)}")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
-    indices = np.remainder(both, n, out=both).astype(np.int32)
+        raise ValueError(f"duplicate edge {divmod(int(keys[dup[0]]), n)}")
+    indices = np.remainder(keys, n, out=keys).astype(np.int32)
     return Graph(n=int(n), indptr=indptr, indices=indices)
 
 

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .graph import Graph, trims_heap
+from .graph import Graph, _key_rows, trims_heap
 from .thresholds import finite_size_exponent, thresholds_1d, thresholds_hd
 
 UNASSIGNED = -1
@@ -34,25 +34,20 @@ UNASSIGNED = -1
 def _pair_rows(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
     """The pairs u-v as CSR rows (indptr, cols) on n vertices, each pair in row u only.
 
-    The one grouping step for callers of `_components` that hold pairs:
-    row pointers from a count of u, and columns v in the order of one
-    stable argsort of u, which is a single pass when the pairs arrive
-    grouped (`Graph.edges`, the run graph of the phase trials).  Raises
-    ValueError on pair arrays of unequal length or a u out of range;
-    `_components` checks the columns.
+    The entry to `_components` for callers that hold pairs: `graph._key_rows`
+    groups their keys u * n + v, with no sort when they arrive sorted
+    (`Graph.edges` and its kept subset), and each row's columns ascend.
+    Raises ValueError on pair arrays of unequal length or an id out of
+    range, which a key would hide: (u, n) has the key of (u + 1, 0).
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
+    u, v = np.asarray(u), np.asarray(v)
     if len(u) != len(v):
         raise ValueError("pair arrays differ in length")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if len(u) == 0:
-        return indptr, np.empty(0, dtype=np.int64)
-    counts = np.bincount(u, minlength=n)    # raises on a negative id
-    if len(counts) > n:
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
         raise ValueError("vertex id out of range")
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, v[np.argsort(u, kind="stable")]
+    keys = u.astype(np.int64) * n + v
+    indptr = _key_rows(n, keys)
+    return indptr, np.remainder(keys, n, out=keys)
 
 
 def _components(n: int, indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.ndarray]:
@@ -61,8 +56,8 @@ def _components(n: int, indptr: np.ndarray, cols: np.ndarray) -> tuple[int, np.n
 
     The one components engine of the package.  It takes CSR rows as
     scipy stores them: the graph's own rows (`component_count`), the
-    double cover built straight from the band rows
-    (`recover_with_locations`), or pairs grouped by `_pair_rows`.  An
+    double cover built straight from the band rows (`recover_with_locations`),
+    or pairs that `_pair_rows` groups with at most one sort of int64 keys.  An
     edge need appear in one of its two rows only, and repeated edges and
     self-loops are allowed.  No COO matrix is built, so no row gets
     sorted, no duplicate summed and no symmetrized copy made; the float64

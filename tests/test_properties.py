@@ -110,6 +110,40 @@ class TestConnectedComponents:
         assert np.array_equal(comp, want)
         assert count == len(np.unique(want))
 
+    @SETTINGS
+    @given(component_inputs(), st.integers(0, 2 ** 32 - 1))
+    def test_pair_rows_count_and_sort_each_row(self, case, seed):
+        n, u, v = case
+        want_ptr = np.concatenate(([0], np.cumsum(np.bincount(u, minlength=n))))
+        want_cols = [np.sort(v[u == i]) for i in range(n)]
+        ascending = np.lexsort((v, u))                  # keys u * n + v ascend: no sort
+        shuffled = substream(seed).permutation(len(u))  # the same pairs, sorted again
+        assert np.all(np.diff(u[ascending] * n + v[ascending]) >= 0)
+        for order in (ascending, shuffled):
+            indptr, cols = rec._pair_rows(n, u[order], v[order])
+            assert np.array_equal(indptr, want_ptr)
+            for i in range(n):
+                assert np.array_equal(cols[indptr[i]:indptr[i + 1]], want_cols[i])
+
+    @pytest.mark.parametrize("group", [
+        rec._pair_rows,
+        lambda n, u, v: rec.connected_components(n, np.column_stack([u, v])),
+        ana._components_from_edges,
+    ], ids=["_pair_rows", "connected_components", "_components_from_edges"])
+    @SETTINGS
+    @given(component_inputs(), st.sampled_from(["u", "v"]), st.booleans(), st.data())
+    def test_id_out_of_range_raises(self, group, case, end, grouped, data):
+        # a key u * n + v hides v = n as the pair (u + 1, 0), so the ids are checked first
+        n, u, v = case
+        if not len(u):
+            u, v = np.zeros(1, np.int64), np.zeros(1, np.int64)
+        bad = data.draw(st.sampled_from([-1, -n, n, n + 1, 2 * n]))
+        (u if end == "u" else v)[data.draw(st.integers(0, len(u) - 1))] = bad
+        order = (np.argsort(u, kind="stable") if grouped
+                 else substream(data.draw(st.integers(0, 2 ** 32 - 1))).permutation(len(u)))
+        with pytest.raises(ValueError):
+            group(n, u[order], v[order])
+
 
 class TestFromEdges:
     @SETTINGS
