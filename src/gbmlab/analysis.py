@@ -206,12 +206,14 @@ def _circle_bands_connectivity(p: np.ndarray, bands) -> tuple[bool, int, int]:
     head = np.concatenate([h for h, _, _ in kept])
     start = np.concatenate([s[h] for h, s, _ in kept])
     stop = start + np.concatenate([k[h] for h, _, k in kept])
-    opened = np.bincount(start, minlength=n + 1)
-    covered = np.cumsum(opened - np.bincount(stop, minlength=n + 1))[:n] > 0
+    closed = np.bincount(stop, minlength=n + 1)
+    cover = np.cumsum(np.bincount(start, minlength=n + 1) - closed)
+    covered = cover[:n] > 0
     covered[head] = True
     isolated = n - int(np.count_nonzero(covered))
-    # link j (ranks j and j + 1) lies in every range that holds both
-    linked = np.cumsum(opened - np.bincount(stop - 1, minlength=n + 1))[:n - 1] > 0
+    # link j (ranks j and j + 1) lies in every range that covers j and does not
+    # stop at j + 1; each range that stops there covers j, as it is non-empty
+    linked = cover[:n - 1] > closed[1:n]
     run = np.concatenate(([0], np.cumsum(~linked)))
     u, v = run[head], run[start]
     edge = u != v

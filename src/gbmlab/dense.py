@@ -25,14 +25,18 @@ components are counted by `recovery._window_counts`, the package's one
 counting kernel, and the kept ones are merged.  No h x h boolean and no
 pair list exists; every other temporary is chunk-sized.
 
-Phase 1 runs on up to THREADS threads (the usable cores), through one
+Both phases run on up to THREADS threads (the usable cores), through one
 helper, `_map_chunks`, which deals row chunks round-robin to them on a
 pool made for the call, so no thread outlives it; `analysis.phase_sweep`
 runs its trials on the same helper.  The filter counts a round of
 THREADS chunks against one snapshot of the partition and merges their
-kept pairs at once, which leaves the partition exact.  Chunks hold
-1 / THREADS of the serial chunk's cells, so the chunks in flight hold
-what one serial chunk does.  Phase 2 runs on the caller's thread.
+kept pairs at once, which leaves the partition exact.  Phase 2's cross
+blocks are answered in row chunks that write disjoint rows of the
+answer, while the probe record is kept on the caller's thread.  Chunks
+hold 1 / THREADS of the serial chunk's cells, so the chunks in flight
+hold what one serial chunk does.  Every chunk answers through its
+oracle's `_rule`, a function that is safe to run on several threads at
+once and that no `bench/spans.py` target wraps.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ def _map_chunks(fn, chunks: list) -> list:
     is what the threads cost in resident memory.  With one thread no pool is made and the chunks run in order.
     `fn` must be safe to run on several chunks at once, must not call
     `_map_chunks`, and must call no function that `bench/spans.py` wraps,
-    since its recorder keeps one stack of open spans: a traced phase sweep
+    since its recorder keeps one stack of open spans.  So the oracle's
+    chunks call its `_rule`, never `_answer`, and a traced phase sweep
     (`_phase_trial` is a span target) must run at jobs = 1.
     """
     threads = min(THREADS, len(chunks))
@@ -103,14 +108,18 @@ def _chunk_rows(width: int, cells: int) -> int:
     return max(1, cells // max(width, 1))
 
 
+def _chunks(rows: int, step: int) -> list:
+    """The chunks (i0, i1) of `rows` rows, `step` rows each but the last."""
+    return [(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
+
+
 def _zero_block(h: int) -> tuple[np.ndarray, list]:
     """The zeroed (h, ceil(h / 64)) uint64 words of a size-h packed block,
     and its answer chunks (i0, i1): about 2^19 / THREADS cells each, so
     the chunks in flight hold what one chunk of 2^19 cells would, and a
     multiple of 8 rows so that `_mirror_bits` writes whole bytes."""
     step = 8 * max(1, _chunk_rows(h, _CHUNK_CELLS // THREADS) // 8)
-    return (np.zeros((h, -(-h // 64)), dtype=np.uint64),
-            [(i0, min(i0 + step, h)) for i0 in range(0, h, step)])
+    return np.zeros((h, -(-h // 64)), dtype=np.uint64), _chunks(h, step)
 
 
 # Chunks of one block may call `_mirror_bits` at once: their writes touch
@@ -141,9 +150,21 @@ def _answer_block(h: int, answer) -> np.ndarray:
 
 
 def _gbm_rule(x: np.ndarray, labels: np.ndarray, r_s: float, r_d: float, us, vs) -> np.ndarray:
-    """`gen_gbm_t`'s rule on the pairs (us, vs), radii squared as it squares them.  Symmetric
-    bit for bit: (a - b)^2 equals (b - a)^2, and label equality is symmetric."""
-    return squared_chord(x, us, vs) <= np.where(labels[us] == labels[vs], r_s * r_s, r_d * r_d)
+    """`gen_gbm_t`'s rule on the pairs (us, vs), radii squared as it squares them.
+
+    A pair is an edge iff d2 <= r_d^2, or d2 <= r_s^2 and its ends share a
+    label: the answers of comparing d2 with the per-pair threshold r_s^2
+    or r_d^2, without that float array.  They agree because r_d <= r_s
+    and rounding is monotone, so r_d * r_d <= r_s * r_s, and a NaN d2 is
+    no edge either way.  Symmetric bit for bit: (a - b)^2 equals
+    (b - a)^2, and label equality is symmetric.
+    """
+    d2 = squared_chord(x, us, vs)
+    edge = labels[us] == labels[vs]
+    near = d2 <= r_s * r_s
+    edge &= near
+    edge |= np.less_equal(d2, r_d * r_d, out=near)
+    return edge
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -172,13 +193,20 @@ class EdgeOracle:
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
         self._keys = np.empty(0, dtype=np.int64)
 
-    def _answer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Adjacency of each pair (us, vs), for index arrays that broadcast together.
+    def _rule(self, sample: Optional[np.ndarray] = None):
+        """The adjacency rule: a function of index arrays (us, vs) that broadcast together,
+        answering the pairs (sample[us], sample[vs]), or (us, vs) when `sample` is None.
 
-        Must be symmetric in (us, vs): `_block_answer` asks each unordered
-        pair once and mirrors the answer.
+        Must be symmetric in (us, vs), since `_block_answer` asks each
+        unordered pair once and mirrors the answer.  It must also be safe to
+        run on several threads at once and wrap no `bench/spans.py` target:
+        `_block_answer` and `query_cross` call it from `_map_chunks`.
         """
         raise NotImplementedError
+
+    def _answer(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """`query_pairs`' answers: `_rule` on the pairs (us, vs), on the caller's thread."""
+        return self._rule()(us, vs)
 
     def _recorded(self, us: np.ndarray, vs: np.ndarray) -> int:
         """How many of the distinct pairs (us[i], vs[i]) the record already holds."""
@@ -217,8 +245,10 @@ class EdgeOracle:
         """Probe every pair in rows x cols; returns the (len(rows), len(cols)) answers.
 
         `rows` and `cols` must each be duplicate-free and disjoint from one
-        another, so the block's pairs are distinct.  The answers come in row
-        chunks of about 2^19 cells, so `_answer`'s temporaries stay a few MB
+        another, so the block's pairs are distinct.  The probe record is
+        kept on the caller's thread; the answers come from `_rule` in row
+        chunks of about 2^19 / THREADS cells on `_map_chunks`, each writing
+        its own rows of the result, so the rule's temporaries stay a few MB
         whatever the block's size.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
@@ -234,9 +264,11 @@ class EdgeOracle:
         self.queries += len(rows) * len(cols) - seen
         self._record_block(srows, scols)
         out = np.empty((len(rows), len(cols)), dtype=bool)
-        step = _chunk_rows(len(cols), _CHUNK_CELLS)
-        for i0 in range(0, len(rows), step):
-            out[i0:i0 + step] = self._answer(rows[i0:i0 + step, None], cols[None, :])
+        rule = self._rule()
+
+        def fill(i0, i1):
+            out[i0:i1] = rule(rows[i0:i1, None], cols[None, :])
+        _map_chunks(fill, _chunks(len(rows), _chunk_rows(len(cols), _CHUNK_CELLS // THREADS)))
         return out
 
     def query_block_bits(self, sample) -> np.ndarray:
@@ -268,8 +300,9 @@ class EdgeOracle:
         return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_answer` on each unordered pair of the sample once, by `_answer_block`'s row chunks."""
-        return _answer_block(len(sample), lambda i0, i1: self._answer(sample[i0:i1, None], sample[i0:]))
+        """`_rule(sample)` on each unordered pair of the sample once, by `_answer_block`'s row chunks."""
+        rule, idx = self._rule(sample), np.arange(len(sample))
+        return _answer_block(len(sample), lambda i0, i1: rule(idx[i0:i1, None], idx[i0:]))
 
 
 class GraphEdgeOracle(EdgeOracle):
@@ -281,8 +314,10 @@ class GraphEdgeOracle(EdgeOracle):
         # the windows are built here, on the caller's thread, not by a block answer's thread
         graph.layout
 
-    def _answer(self, us, vs):
-        return self.graph.has_edges(us, vs)
+    def _rule(self, sample=None):
+        """`Graph.has_edges`, which only reads the layout built by the constructor."""
+        has = self.graph.has_edges
+        return has if sample is None else lambda us, vs: has(sample[us], sample[vs])
 
 
 class GbmEdgeOracle(EdgeOracle):
@@ -308,17 +343,15 @@ class GbmEdgeOracle(EdgeOracle):
         self._labels = labels
         self._r_s, self._r_d = float(r_s), float(r_d)
 
-    def _answer(self, us, vs):
-        return _gbm_rule(self._x, self._labels, self._r_s, self._r_d, us, vs)
+    def _rule(self, sample=None):
+        """`_gbm_rule` on the column-major points, or on the sample's points gathered column-major."""
+        x, labels = ((self._x, self._labels) if sample is None else
+                     (np.asfortranarray(self._x[sample]), self._labels[sample]))
+        return partial(_gbm_rule, x, labels, self._r_s, self._r_d)
 
-    def _block_answer(self, sample):
-        """`_gbm_rule` on each unordered pair of the sample once, its points gathered
-        column-major.  The chunks call `_gbm_rule`, not `_answer`, a `bench/spans.py` target."""
-        xs = np.asfortranarray(self._x[sample])
-        labels = self._labels[sample]
-        idx = np.arange(len(sample))
-        return _answer_block(len(sample), lambda i0, i1: _gbm_rule(
-            xs, labels, self._r_s, self._r_d, idx[i0:i1, None], idx[i0:]))
+    # named on this class, where `bench/spans.py` wraps them
+    _answer = EdgeOracle._answer
+    _block_answer = EdgeOracle._block_answer
 
 
 def phase1_balance_check(h: int, c1: int, c2: int) -> bool:
@@ -388,8 +421,7 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
     columns = np.zeros(h, dtype=np.int64)
     upper = 0
     comp = np.arange(h, dtype=np.int64)
-    step = _chunk_rows(h, _COUNT_CELLS // THREADS)
-    chunks = [(i0, min(i0 + step, h)) for i0 in range(0, h, step)]
+    chunks = _chunks(h, _chunk_rows(h, _COUNT_CELLS // THREADS))
     for k in range(0, len(chunks), THREADS):
         part = chunks[k:k + THREADS]
         done = _map_chunks(partial(_count_chunk, words, comp, e_s, e_d), part)

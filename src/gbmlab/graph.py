@@ -265,15 +265,19 @@ def read_graph(path: str) -> tuple[Graph, int]:
     """Read the format written by write_graph; returns (graph, t).
 
     The edge lines are parsed as one run of whitespace-separated integers.
-    Raises ValueError on a malformed header, a token that is not an
-    integer, an odd number of endpoints or an edge count other than m.
+    Raises ValueError on a malformed header (three integers n >= 0,
+    m >= 0 and t >= 1 expected), a token that is not an integer, an odd
+    number of endpoints or an edge count other than m.
     """
     with open(path) as fh:
         header = fh.readline().split()
         body = fh.read()
-    if len(header) != 3:
+    try:
+        n, m, t = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"{path}: malformed header") from None
+    if n < 0 or m < 0 or t < 1:
         raise ValueError(f"{path}: malformed header")
-    n, m, t = (int(x) for x in header)
     # np.fromstring reads a blank string as [0]
     if not body or body.isspace():
         ends = np.empty(0, np.int64)

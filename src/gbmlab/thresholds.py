@@ -37,8 +37,11 @@ def finite_size_exponent(n: int) -> float:
     The filter's design point is a per-edge misclassification rate of
     1/(n log^2 n); a plain target of 1 only delivers 1/n, which at desk
     scale leaves Theta(log n) surviving cross-cluster edges.  This target
-    restores the intended rate and tends to 1 as n grows.
+    restores the intended rate and tends to 1 as n grows.  ValueError
+    unless n >= 3, where log(log n) is defined and positive.
     """
+    if n < 3:
+        raise ValueError("n must be >= 3")
     ln = math.log(n)
     return 1.0 + 2.0 * math.log(ln) / ln
 

@@ -176,6 +176,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(p) in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("-5 0 1\n", "malformed header"), ("3 1 0\n0 1\n", "malformed header"),
+        ("0 0 1\n", "n must be >= 3"), ("1 0 1\n", "n must be >= 3")])
+    def test_graph_header_out_of_range_clean_error(self, tmp_path, capsys, text, message):
+        # a count below 0 or t below 1 is a malformed header (the other cases
+        # are in `TestGraphIO`); n below 3 has no finite-size exponent, as it
+        # has no 1-D thresholds
+        p = tmp_path / "bad.graph.txt"
+        p.write_text(text)
+        assert run_cli("recover", "--in", str(p), "--a", "13", "--b", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
     def test_malformed_phase_point_clean_error(self, capsys):
         assert run_cli("phase", "--n", "100", "--points", "1.6") == 1
         err = capsys.readouterr().err
@@ -514,6 +527,8 @@ def input_files(tmp_path_factory):
     gr.write_labels(str(d / "pred.txt"), np.random.default_rng(3).integers(-1, 2, 60))
     broken = {"no_edges.graph.txt": "4 0 1\n", "loop.graph.txt": "3 1 1\n1 1\n",
               "token.graph.txt": "3 1 1\n0 x\n", "header.graph.txt": "3 1\n0 1\n",
+              "negative.graph.txt": "-5 0 1\n", "empty.graph.txt": "0 0 1\n",
+              "single.graph.txt": "1 0 1\n", "t0.graph.txt": "3 1 0\n0 1\n",
               "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
               "short.txt": "0\n1\n-1\n", "token.embeddings.txt": "0.1\nx\n",
               "nonfinite.embeddings.txt": "0.1\nnan\n0.3\ninf\n",

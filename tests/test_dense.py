@@ -1,9 +1,12 @@
 import concurrent.futures.thread
+import functools
+import importlib.util
 import math
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,8 +116,9 @@ class TestEdgeOracle:
     def test_no_quadratic_state(self):
         # n = 1e6 would need 1 TB as an n x n bitmap; the record is O(n + probes)
         class Parity(dn.EdgeOracle):
-            def _answer(self, us, vs):
-                return (us + vs) % 2 == 0
+            def _rule(self, sample=None):
+                ids = (lambda i: i) if sample is None else sample.__getitem__
+                return lambda us, vs: (ids(us) + ids(vs)) % 2 == 0
 
         n = 10 ** 6
         tracemalloc.start()
@@ -216,7 +220,7 @@ class TestQueryCross:
         assert a_orc.queries == b_orc.queries == len(rows) * len(cols)
 
     def test_several_row_chunks_match_one_broadcast(self):
-        # 300 rows x 4096 cols are answered in chunks of 2^19 // 4096 = 128 rows
+        # 300 rows x 4096 cols are answered in chunks of 2^19 // (THREADS 4096) rows
         n = 4400
         emb = sample_sphere(substream(12), n, 2)
         labels = (np.arange(n) % 2).astype(np.int8)
@@ -306,6 +310,40 @@ class TestRule:
         bits = make().query_block_bits(np.arange(7))
         assert np.array_equal(np.unpackbits(bits.view(np.uint8), axis=1, count=7).view(bool), adj)
         assert np.array_equal(make().query_cross(np.arange(k), np.arange(k, 7)), adj[:k, k:])
+
+
+def threshold_rule(x, labels, r_s, r_d, us, vs):
+    """The block-model rule as a comparison of d2 with a per-pair threshold array."""
+    return squared_chord(x, us, vs) <= np.where(labels[us] == labels[vs], r_s * r_s, r_d * r_d)
+
+
+class TestRuleForm:
+    """`_gbm_rule` gives the threshold array's answers bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.just(0.0), st.just(2.0), st.floats(0.0, 2.0)),
+           st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+           st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), max_size=10),
+           st.data())
+    def test_matches_the_threshold_array(self, r_d, u, extra, data):
+        # u = 0 gives r_d == r_s; from the origin, points at d2 just below, at
+        # and just above r_s * r_s and r_d * r_d, one point of NaN d2, and
+        # drawn points, each with a drawn label
+        r_s = r_d + u * (2.0 - r_d)
+        rows = [(0.0, 0.0), (math.nan, 0.0)] + extra
+        for r in (r_s, r_d):
+            d2 = r * r
+            rows += [at_squared_distance(v) for v in (math.nextafter(d2, 0.0), d2,
+                                                      math.nextafter(d2, 5.0))]
+        x = np.asfortranarray(rows)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(x),
+                                             max_size=len(x))), dtype=np.int8)
+        idx = np.arange(len(x))
+        iu, jv = np.triu_indices(len(x), 1)
+        for us, vs in ((idx[:, None], idx[None, :]), (iu, jv)):
+            got = dn._gbm_rule(x, labels, r_s, r_d, us, vs)
+            assert got.dtype == bool
+            assert np.array_equal(got, threshold_rule(x, labels, r_s, r_d, us, vs))
 
 
 class TestGbmOracleInputs:
@@ -556,6 +594,79 @@ class TestThreads:
             dn._map_chunks(fn, [(0, 1), (1, 2)])
         assert done == [1 - bad]
         assert not gbmlab_threads()
+
+    @staticmethod
+    def cross_probes(make, threads):
+        """Answers and queries of a run of overlapping `query_cross` blocks at `threads`."""
+        orc, out = make(), []
+        perm = substream(7).permutation(orc.n)
+        blocks = [(perm[:400], perm[400:700]), (perm[700:1500], perm[400:700]),
+                  (perm[350:450], perm[600:1000]), (perm[600:1000], perm[350:450])]
+        for rows, cols in blocks:
+            out.append((at_threads(threads, orc.query_cross, rows, cols), orc.queries))
+        return out
+
+    @pytest.mark.parametrize("threads", [2, 6])
+    def test_cross_answers_and_queries(self, monkeypatch, instance, threads):
+        # at 2^12 cells a 300-column block goes in chunks of 2^12 / (threads 300)
+        # rows: 67 chunks of 6 rows at two threads; the last run switches threads
+        # every microsecond, so a lost or misplaced row write would show
+        monkeypatch.setattr(dn, "_CHUNK_CELLS", 1 << 12)
+        for make in (lambda: dn.GbmEdgeOracle(instance.embeddings, instance.truth, 0.8, 0.4),
+                     lambda: dn.GraphEdgeOracle(instance.graph)):
+            want = self.cross_probes(make, 1)
+            # the third block holds 50 x 100 pairs of the first and 50 x 300 of
+            # the second; the fourth is the third transposed
+            fresh = 400 * 300 + 800 * 300 + 100 * 400 - 50 * 100 - 50 * 300
+            assert [q for _, q in want] == [400 * 300, 400 * 300 + 800 * 300, fresh, fresh]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs = [self.cross_probes(make, threads), self.cross_probes(make, threads)]
+            finally:
+                sys.setswitchinterval(interval)
+            for got in [self.cross_probes(make, threads)] + runs:
+                assert len(got) == len(want)
+                for (a, qa), (b, qb) in zip(got, want):
+                    assert qa == qb and np.array_equal(a, b)
+
+    def test_span_targets_run_on_the_callers_thread(self, monkeypatch):
+        # the benchmark's span recorder keeps one stack of open spans, so a
+        # `gbmlab.dense` function it wraps must never run on a worker thread;
+        # the chunks answer through `_rule`, which no span wraps
+        path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("gbmlab_bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        names = [t.name for t in spans.TARGETS if t.module == "gbmlab.dense"]
+        assert "EdgeOracle.query_cross" in names and "GbmEdgeOracle._block_answer" in names
+        calls = []
+
+        def record(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            owner, attr = dn, name
+            if "." in name:
+                cls, attr = name.split(".")
+                owner = getattr(dn, cls)
+            assert attr in vars(owner), name
+            monkeypatch.setattr(owner, attr, record(name, vars(owner)[attr]))
+        monkeypatch.setattr(dn, "THREADS", 2)
+        monkeypatch.setattr(dn, "_CHUNK_CELLS", 1 << 14)
+        n, t, r_s, r_d = 3000, 2, 0.8, 0.4
+        emb, labels = make_instance(n, t, r_s, r_d, seed=43)
+        res = dn.dense_recover(dn.GbmEdgeOracle(emb, labels, r_s, r_d), n, t, r_s, r_d,
+                               th.dense_plan(n, t, r_s, r_d), 19)
+        assert res.status == "ok"
+        assert {"dense_recover", "GbmEdgeOracle._block_answer", "EdgeOracle.query_cross",
+                "_subsample_counts"} <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
     def test_trial(self):
         # h = 2122: phase 1 counts 5 chunks on one thread and 9 (5 rounds) on

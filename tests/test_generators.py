@@ -243,6 +243,14 @@ class TestGraphIO(object):
         with pytest.raises(ValueError, match=match):
             gr.read_graph(str(p))
 
+    @pytest.mark.parametrize("header", ["3 1", "3 1 1 1", "-5 0 1", "3 -1 1", "3 1 0",
+                                        "3 0 -2", "3 1.5 1", "a b c"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        p = tmp_path / "bad.txt"
+        p.write_text(header + "\n0 1\n")
+        with pytest.raises(ValueError, match=r"bad.txt: malformed header$"):
+            gr.read_graph(str(p))
+
     def test_whitespace_tolerant(self, tmp_path):
         p = tmp_path / "ws.txt"
         p.write_text("3 2 1\n0  1\r\n\t1 2 \n\n")

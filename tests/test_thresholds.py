@@ -230,6 +230,14 @@ class TestThresholds1D:
         b = th.thresholds_1d(4096, 11.0, 2.0)
         assert a == b
 
+    @pytest.mark.parametrize("n", [-5, 0, 1, 2])
+    def test_small_n_rejected_with_one_message(self, n):
+        # log(log n) is undefined below n = 3 (log 1 = 0, log 2 < 1)
+        for solve in (th.finite_size_exponent, lambda n: th.thresholds_1d(n, 13.0, 1.0)):
+            with pytest.raises(ValueError, match=r"^n must be >= 3$"):
+                solve(n)
+        assert th.finite_size_exponent(3) > 1.0
+
 
 class TestRecoveryCondition:
     def test_table1_reproduction(self):
