@@ -11,14 +11,14 @@ Total probes: h (h - 1) / 2 + (n - h) 2 g.  Ties in phase 2 go to
 cluster 0.
 
 The oracle counts distinct pairs from a record of what it probed, not
-from an n x n bitmap: the phase-1 sample, the phase-2 blocks and any
-single pairs as sorted index arrays, plus an n-byte mask of touched
-vertices, so O(n + h) memory in `dense_recover`.  The phase-1 block is
-held as packed bits, h rows of ceil(h / 64) words (the full rows of
-`Graph.packed_rows`), about h^2 / 8 bytes.  Both oracles fill it by one
-skeleton, `_answer_block`, answering each unordered pair once and
-mirroring it into those bits; the sphere oracle decides by one rule,
-`_gbm_rule`, on column-major points that `squared_chord` reads in place.
+from an n x n bitmap: one block of sorted index arrays per probe call,
+plus an n-byte mask of touched vertices.  Only pairs with two touched
+ends are looked up, so phase 2, whose rows are fresh, never reads it.
+The phase-1 block is held as packed bits, h rows of ceil(h / 64) words
+(the full rows of `Graph.packed_rows`), about h^2 / 8 bytes.  Both
+oracles fill it by one skeleton, `_answer_block`, answering each
+unordered pair once and mirroring it into those bits; the sphere oracle
+decides by `generators._gbm_edges` on column-major points read in place.
 The filter streams over the block in row chunks and holds one partition
 of the sample: a chunk's pairs above the diagonal that join two
 components are counted by `recovery._window_counts`, the package's one
@@ -49,6 +49,7 @@ from typing import Optional
 
 import numpy as np
 
+from .generators import _check_chord_radii, _gbm_edges
 from .geometry import squared_chord
 from .graph import Graph
 from .recovery import UNASSIGNED, _components, _keep, _label_two_largest, _pair_rows, _window_counts
@@ -149,24 +150,6 @@ def _answer_block(h: int, answer) -> np.ndarray:
     return words
 
 
-def _gbm_rule(x: np.ndarray, labels: np.ndarray, r_s: float, r_d: float, us, vs) -> np.ndarray:
-    """`gen_gbm_t`'s rule on the pairs (us, vs), radii squared as it squares them.
-
-    A pair is an edge iff d2 <= r_d^2, or d2 <= r_s^2 and its ends share a
-    label: the answers of comparing d2 with the per-pair threshold r_s^2
-    or r_d^2, without that float array.  They agree because r_d <= r_s
-    and rounding is monotone, so r_d * r_d <= r_s * r_s, and a NaN d2 is
-    no edge either way.  Symmetric bit for bit: (a - b)^2 equals
-    (b - a)^2, and label equality is symmetric.
-    """
-    d2 = squared_chord(x, us, vs)
-    edge = labels[us] == labels[vs]
-    near = d2 <= r_s * r_s
-    edge &= near
-    edge |= np.less_equal(d2, r_d * r_d, out=near)
-    return edge
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of a 1-D array; a sort, cheaper than numpy's hashed unique."""
     a = np.sort(a)
@@ -177,13 +160,13 @@ class EdgeOracle:
     """Counts distinct unordered pairs probed; subclasses answer adjacency.
 
     The probe record keeps what was probed, not an n x n bitmap: a list of
-    blocks (rows, cols) of sorted vertex arrays, each covering the pairs
-    with one end in rows and the other in cols (a `query_block` sample S
-    is the block (S, S)); the sorted lo * n + hi keys of `query_pairs`
-    probes; and an n-byte mask of the vertices any probe touched.  A new
-    probe counts its pairs minus those already in the union of the record.
-    Only a pair whose two ends were both touched before can be in it, so
-    only those pairs are looked up.
+    blocks (rows, cols) of sorted vertex arrays, one per `query_cross` or
+    `query_block` call (a sample S is the block (S, S)), each covering the
+    pairs with one end in rows and the other in cols; the sorted lo * n + hi
+    keys of `query_pairs` probes; and an n-byte mask of the vertices any
+    probe touched.  A new probe counts its pairs minus those already in
+    the union of the record.  Only a pair whose two ends were both touched
+    before can be in it, so only those pairs are looked up.
     """
 
     def __init__(self, n: int):
@@ -193,9 +176,9 @@ class EdgeOracle:
         self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
         self._keys = np.empty(0, dtype=np.int64)
 
-    def _rule(self, sample: Optional[np.ndarray] = None):
-        """The adjacency rule: a function of index arrays (us, vs) that broadcast together,
-        answering the pairs (sample[us], sample[vs]), or (us, vs) when `sample` is None.
+    def _rule(self):
+        """The adjacency rule: a function of vertex-id arrays (us, vs) that broadcast
+        together, answering whether each pair (us, vs) is an edge.
 
         Must be symmetric in (us, vs), since `_block_answer` asks each
         unordered pair once and mirrors the answer.  It must also be safe to
@@ -209,8 +192,10 @@ class EdgeOracle:
         return self._rule()(us, vs)
 
     def _recorded(self, us: np.ndarray, vs: np.ndarray) -> int:
-        """How many of the distinct pairs (us[i], vs[i]) the record already holds."""
+        """How many of the distinct pairs (us[i], vs[i]) the record holds; 0 unless one has two touched ends."""
         old = self._touched[us] & self._touched[vs]
+        if not old.any():
+            return 0
         us, vs = us[old], vs[old]
         hit = np.isin(np.minimum(us, vs) * self.n + np.maximum(us, vs), self._keys)
         for rows, cols in self._blocks:
@@ -221,11 +206,7 @@ class EdgeOracle:
     def _record_block(self, rows: np.ndarray, cols: np.ndarray) -> None:
         self._touched[rows] = True
         self._touched[cols] = True
-        if self._blocks and np.array_equal(self._blocks[-1][1], cols):
-            # blocks against the same cols (phase 2's chunks) merge into one
-            self._blocks[-1] = (_distinct(np.concatenate([self._blocks[-1][0], rows])), cols)
-        else:
-            self._blocks.append((rows, cols))
+        self._blocks.append((rows, cols))
 
     def query_pairs(self, us, vs) -> np.ndarray:
         """Vectorized probe; repeated pairs answer identically without recounting."""
@@ -300,9 +281,9 @@ class EdgeOracle:
         return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_rule(sample)` on each unordered pair of the sample once, by `_answer_block`'s row chunks."""
-        rule, idx = self._rule(sample), np.arange(len(sample))
-        return _answer_block(len(sample), lambda i0, i1: rule(idx[i0:i1, None], idx[i0:]))
+        """`_rule()` on each unordered pair of the sample's vertex ids once, by `_answer_block`'s row chunks."""
+        rule = self._rule()
+        return _answer_block(len(sample), lambda i0, i1: rule(sample[i0:i1, None], sample[i0:]))
 
 
 class GraphEdgeOracle(EdgeOracle):
@@ -314,14 +295,13 @@ class GraphEdgeOracle(EdgeOracle):
         # the windows are built here, on the caller's thread, not by a block answer's thread
         graph.layout
 
-    def _rule(self, sample=None):
+    def _rule(self):
         """`Graph.has_edges`, which only reads the layout built by the constructor."""
-        has = self.graph.has_edges
-        return has if sample is None else lambda us, vs: has(sample[us], sample[vs])
+        return self.graph.has_edges
 
 
 class GbmEdgeOracle(EdgeOracle):
-    """Oracle answering from latent positions and the block-model rule, `_gbm_rule`.
+    """Oracle answering from latent positions and the block-model rule, `generators._gbm_edges`.
 
     Equivalent to a GraphEdgeOracle over the materialized instance, but
     without building Theta(n^2 B) edges up front.  ValueError unless there
@@ -336,18 +316,16 @@ class GbmEdgeOracle(EdgeOracle):
         labels = np.asarray(labels)
         if labels.shape != (len(embeddings),):
             raise ValueError(f"labels of shape ({len(embeddings)},) expected, got {labels.shape}")
-        if not 0.0 <= r_d <= r_s <= 2.0:
-            raise ValueError(f"need 0 <= r_d <= r_s <= 2, got r_s={r_s}, r_d={r_d}")
+        _check_chord_radii(r_s, r_d)
         super().__init__(len(embeddings))
         self._x = np.asfortranarray(embeddings)
         self._labels = labels
-        self._r_s, self._r_d = float(r_s), float(r_d)
+        self._t_s, self._t_d = float(r_s) * float(r_s), float(r_d) * float(r_d)
 
-    def _rule(self, sample=None):
-        """`_gbm_rule` on the column-major points, or on the sample's points gathered column-major."""
-        x, labels = ((self._x, self._labels) if sample is None else
-                     (np.asfortranarray(self._x[sample]), self._labels[sample]))
-        return partial(_gbm_rule, x, labels, self._r_s, self._r_d)
+    def _rule(self):
+        """`_gbm_edges` on `squared_chord` of the column-major points, radii squared as `gen_gbm_t` does."""
+        x, labels, t_s, t_d = self._x, self._labels, self._t_s, self._t_d
+        return lambda us, vs: _gbm_edges(squared_chord(x, us, vs), labels[us] == labels[vs], t_s, t_d)
 
     # named on this class, where `bench/spans.py` wraps them
     _answer = EdgeOracle._answer

@@ -19,7 +19,8 @@ scaled form r = a log(n)/n (circle) / r = a (log(n)/n)^(1/t) (sphere) via
 Every circle graph, trial and pair list comes from one primitive,
 ``_circle_band_ranges``: for a list of bands it gives each rank of the
 sorted positions its disjoint windows of higher ranks.  On the sphere a
-k-d tree lists the pairs of one band, ``_sphere_pairs_within``.
+k-d tree lists the pairs of one band, ``_sphere_pairs_within``.  One edge
+rule, ``_gbm_edges``, serves both block models and the dense oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .rng import substream
 
 
 def radius_from_scale(a: float, n: int, t: int = 1) -> float:
-    """Convert a scaled radius parameter to a raw radius."""
+    """Convert a scaled radius parameter to a raw radius; n >= 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     x = math.log(n) / n
     return a * x if t == 1 else a * x ** (1.0 / t)
 
@@ -191,6 +194,24 @@ def _check_circle_radii(r_s: float, r_d: float) -> None:
         raise ValueError(f"need 0 <= r_d <= r_s <= 1/2, got r_s={r_s}, r_d={r_d}")
 
 
+def _check_chord_radii(r_s: float, r_d: float) -> None:
+    """The sphere model's one radius rule, 0 <= r_d <= r_s <= 2 (chord distances)."""
+    if not 0.0 <= r_d <= r_s <= 2.0:
+        raise ValueError(f"need 0 <= r_d <= r_s <= 2, got r_s={r_s}, r_d={r_d}")
+
+
+def _gbm_edges(d: np.ndarray, same: np.ndarray, t_s: float, t_d: float) -> np.ndarray:
+    """The block model's edge rule, (d <= t_d) | (same & (d <= t_s)), computed into `same`.
+
+    d holds distances, or squared ones against t = r * r, and `same` (writable, d's
+    shape) whether each pair's ends share a cluster.  With t_d <= t_s this is
+    d <= (t_s if same else t_d) bit for bit."""
+    near = d <= t_s
+    same &= near
+    same |= np.less_equal(d, t_d, out=near)
+    return same
+
+
 @trims_heap
 def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     """Geometric block model on the circle.
@@ -203,8 +224,7 @@ def gen_gbm1(n: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     rng = _seeded(seed)
     pos = sample_circle(rng, n)
     u, v, d = _circle_band_pairs(pos, [(0.0, r_s)])
-    same = labels[u] == labels[v]
-    keep = np.where(same, d <= r_s, d <= r_d)
+    keep = _gbm_edges(d, labels[u] == labels[v], r_s, r_d)
     g = from_edges(n, u[keep], v[keep])
     return GbmInstance(graph=g, truth=labels, embeddings=pos,
                        params={"family": "gbm1", "n": n, "t": 1, "r_s": r_s, "r_d": r_d, "seed": seed})
@@ -239,13 +259,12 @@ def gen_rag_t(n: int, t: int, r1: float, r2: float, seed: int) -> tuple[Graph, n
 @trims_heap
 def gen_gbm_t(n: int, t: int, r_s: float, r_d: float, seed: int) -> GbmInstance:
     """Geometric block model on S^t with chord-distance rule."""
-    if not 0.0 <= r_d <= r_s <= 2.0:
-        raise ValueError(f"need 0 <= r_d <= r_s <= 2, got r_s={r_s}, r_d={r_d}")
+    _check_chord_radii(r_s, r_d)
     labels = _planted_labels(n)
     rng = _seeded(seed)
     x = sample_sphere(rng, n, t)
     u, v, d2 = _sphere_pairs_within(x, 0.0, r_s)
-    keep = (labels[u] == labels[v]) | (d2 <= r_d * r_d)
+    keep = _gbm_edges(d2, labels[u] == labels[v], r_s * r_s, r_d * r_d)
     g = from_edges(n, u[keep], v[keep])
     return GbmInstance(graph=g, truth=labels, embeddings=x,
                        params={"family": "gbm_t", "n": n, "t": t, "r_s": r_s, "r_d": r_d, "seed": seed})

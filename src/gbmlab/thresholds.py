@@ -276,6 +276,8 @@ def thresholds_hd(n: int, t: int, r_s: float, r_d: float,
     _check_sphere_radii(r_s, r_d)
     if c_s < 1.0 or not 0.0 < c_d <= 1.0:
         raise ValueError("need c_s >= 1 and 0 < c_d <= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     ln_n = math.log(n)
     b_d = cap_fraction(t, r_d)
     vol = cap_intersection_fraction(t, r_s, r_d, r_d)

@@ -189,6 +189,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("text, radii, code", [
+        ("0 0 1\n", ("--rs", "0.6", "--rd", "0.4"), 1), ("0 0 1\n", ("--a", "12", "--b", "3"), 1),
+        ("1 0 1\n", ("--rs", "0.6", "--rd", "0.4"), 0), ("2 0 1\n", ("--rs", "0.6", "--rd", "0.4"), 0)])
+    def test_recover_hd_small_n(self, tmp_path, capsys, text, radii, code):
+        # log n is undefined below n = 1, in the thresholds and in the scaled radii
+        p = tmp_path / "small.graph.txt"
+        p.write_text(text)
+        assert run_cli("recover-hd", "--in", str(p), "--t", "2", *radii,
+                       "--out", str(tmp_path / "out.json")) == code
+        err = capsys.readouterr().err
+        assert err == ("error: n must be >= 1\n" if code else "")
+
     def test_malformed_phase_point_clean_error(self, capsys):
         assert run_cli("phase", "--n", "100", "--points", "1.6") == 1
         err = capsys.readouterr().err

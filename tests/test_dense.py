@@ -116,9 +116,8 @@ class TestEdgeOracle:
     def test_no_quadratic_state(self):
         # n = 1e6 would need 1 TB as an n x n bitmap; the record is O(n + probes)
         class Parity(dn.EdgeOracle):
-            def _rule(self, sample=None):
-                ids = (lambda i: i) if sample is None else sample.__getitem__
-                return lambda us, vs: (ids(us) + ids(vs)) % 2 == 0
+            def _rule(self):
+                return lambda us, vs: (us + vs) % 2 == 0
 
         n = 10 ** 6
         tracemalloc.start()
@@ -318,7 +317,7 @@ def threshold_rule(x, labels, r_s, r_d, us, vs):
 
 
 class TestRuleForm:
-    """`_gbm_rule` gives the threshold array's answers bit for bit."""
+    """The block-model rule, `generators._gbm_edges`, gives the threshold array's answers bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.just(0.0), st.just(2.0), st.floats(0.0, 2.0)),
@@ -328,7 +327,9 @@ class TestRuleForm:
     def test_matches_the_threshold_array(self, r_d, u, extra, data):
         # u = 0 gives r_d == r_s; from the origin, points at d2 just below, at
         # and just above r_s * r_s and r_d * r_d, one point of NaN d2, and
-        # drawn points, each with a drawn label
+        # drawn points, each with a drawn label; then plain distances (the
+        # circle's form, radii as given) just below, at and just above r_s
+        # and r_d, a NaN and the drawn points' norms, each with a drawn `same`
         r_s = r_d + u * (2.0 - r_d)
         rows = [(0.0, 0.0), (math.nan, 0.0)] + extra
         for r in (r_s, r_d):
@@ -340,10 +341,18 @@ class TestRuleForm:
                                              max_size=len(x))), dtype=np.int8)
         idx = np.arange(len(x))
         iu, jv = np.triu_indices(len(x), 1)
+        rule = dn.GbmEdgeOracle(x, labels, r_s, r_d)._rule()
         for us, vs in ((idx[:, None], idx[None, :]), (iu, jv)):
-            got = dn._gbm_rule(x, labels, r_s, r_d, us, vs)
+            got = rule(us, vs)
             assert got.dtype == bool
             assert np.array_equal(got, threshold_rule(x, labels, r_s, r_d, us, vs))
+        d = np.array([math.nan] + [v for r in (r_s, r_d) for v in
+                                   (math.nextafter(r, 0.0), r, math.nextafter(r, 5.0))]
+                     + [math.hypot(a, b) for a, b in extra])
+        same = np.array(data.draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d))))
+        want = np.where(same, d <= r_s, d <= r_d)
+        got = gen._gbm_edges(d, same.copy(), r_s, r_d)
+        assert got.dtype == bool and np.array_equal(got, want)
 
 
 class TestGbmOracleInputs:

@@ -743,6 +743,7 @@ class TestProbeRecord:
             rule = upper | upper.T
         probed = set()
         vertex = st.integers(0, n - 1)
+        cols = None
         for _ in range(data.draw(st.integers(1, 8))):
             kind = data.draw(st.sampled_from(["pairs", "block", "cross"]))
             if kind == "pairs":
@@ -758,14 +759,43 @@ class TestProbeRecord:
                 want = rule[np.ix_(sample, sample)] & ~np.eye(len(sample), dtype=bool)
                 probed |= {(min(a, b), max(a, b)) for a in sample for b in sample if a != b}
             else:
-                both = data.draw(st.lists(vertex, unique=True, min_size=1))
-                k = data.draw(st.integers(0, len(both)))
-                rows, cols = np.array(both[:k], np.int64), np.array(both[k:], np.int64)
+                if cols is not None and data.draw(st.booleans()):
+                    # phase 2's pattern: other rows against the last cross call's cols
+                    cols = np.array(data.draw(st.permutations(cols.tolist())), np.int64)
+                    rest = sorted(set(range(n)) - set(cols.tolist()))
+                    rows = np.array(data.draw(st.lists(st.sampled_from(rest), unique=True))
+                                    if rest else [], np.int64)
+                else:
+                    both = data.draw(st.lists(vertex, unique=True, min_size=1))
+                    k = data.draw(st.integers(0, len(both)))
+                    rows, cols = np.array(both[:k], np.int64), np.array(both[k:], np.int64)
                 got = oracle.query_cross(rows, cols)
                 want = rule[np.ix_(rows, cols)]
                 probed |= {(min(a, b), max(a, b)) for a in rows for b in cols}
             assert np.array_equal(got, want)
             assert oracle.queries == len(probed)
+
+    def test_fresh_rows_against_fixed_cols_look_nothing_up(self, monkeypatch):
+        # `dense_recover`'s pattern: a sample block, then blocks of fresh rows
+        # against probes from the sample.  No pair of a cross block has two
+        # touched ends, so the bookkeeping makes no `np.isin` call and stays
+        # linear in the rows, however many blocks came before
+        n = 2000
+        oracle = dn.GbmEdgeOracle(sample_sphere(substream(6), n, 2), np.arange(n) % 2, 0.6, 0.4)
+        sample = np.arange(0, n, 7)
+        oracle.query_block_bits(sample)
+        calls = []
+        isin = np.isin
+        monkeypatch.setattr(np, "isin", lambda *a, **k: calls.append(1) or isin(*a, **k))
+        probes = sample[::5]
+        rest = np.setdiff1d(np.arange(n), sample)
+        for i0 in range(0, len(rest), 100):
+            oracle.query_cross(rest[i0:i0 + 100], probes)
+        assert calls == []
+        h = len(sample)
+        assert oracle.queries == h * (h - 1) // 2 + len(rest) * len(probes)
+        oracle.query_cross(rest[:3], probes)      # a re-probe does look up
+        assert calls and oracle.queries == h * (h - 1) // 2 + len(rest) * len(probes)
 
 
 class TestSymmetricBlock:

@@ -274,6 +274,17 @@ class TestThresholdsHD:
     def test_radius_two_accepted(self):
         assert th.thresholds_hd(5000, 2, 2.0, 1.0).feasible
 
+    @pytest.mark.parametrize("n", [-5, 0])
+    def test_small_n_rejected(self, n):
+        # log n is undefined below n = 1: a plain ValueError (exit 1), not a regime
+        # error, and the scaled radii of `recover-hd --a/--b` say the same
+        from gbmlab.generators import radius_from_scale
+        for solve in (lambda n: th.thresholds_hd(n, 2, 0.6, 0.4), lambda n: radius_from_scale(12.0, n, 2)):
+            with pytest.raises(ValueError, match=r"^n must be >= 1$") as err:
+                solve(n)
+            assert not isinstance(err.value, th.RegimeError)
+        assert th.thresholds_hd(1, 2, 0.6, 0.4).feasible and th.thresholds_hd(2, 2, 0.6, 0.4).feasible
+
     def test_linear_growth_in_n(self):
         # the B n term dominates the sqrt deviation once n B >> log n
         a = th.thresholds_hd(100_000, 2, 1.0, 0.5)
