@@ -8,8 +8,8 @@ number of occupied cells.  Connectivity diagnostics work on Graph objects
 or raw edge arrays; phase sweeps generate seeded trial graphs per grid
 point and report empirical frequencies.  A sweep runs its trials on
 `jobs` threads of this process through `dense._map_chunks`, the helper
-that dense phase 1 uses; the seeds fix each trial, so the output is the
-same for any `jobs`.
+that dense mode uses, one chunk per trial dealt round-robin; the seeds
+fix each trial, so the output is the same for any `jobs`.
 """
 
 from __future__ import annotations
@@ -253,9 +253,9 @@ def phase_sweep(n: int, points, trials: int, seed: int,
 
     Trial seeds derive from (seed, grid_index, trial_index) substreams, so
     points are independent and reproducible in isolation.  Output order
-    follows the input grid regardless of execution schedule.  Share k of
-    the `jobs` shares holds trials k, k + jobs, ...; with jobs = 1 the
-    trials run in order on the caller's thread and no pool is made.
+    follows the input grid regardless of execution schedule.  Trial i
+    runs on thread i % jobs of `_map_chunks`; with jobs = 1 the trials run
+    in order on the caller's thread and no pool is made.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -266,13 +266,8 @@ def phase_sweep(n: int, points, trials: int, seed: int,
         raise ValueError(f"jobs must be at most the {usable_cores()} usable cores, got {jobs}")
     tasks = [(family, n, float(a), float(b), c, t, seed, gi, ti)
              for gi, (a, b) in enumerate(points) for ti in range(trials)]
-
-    def share(k, _):
-        return [_phase_trial(task) for task in tasks[k::jobs]]
-
-    results = [None] * len(tasks)
-    for k, rs in enumerate(_map_chunks(share, [(k, k + 1) for k in range(jobs)])):
-        results[k::jobs] = rs
+    results = _map_chunks(lambda i, _: _phase_trial(tasks[i]),
+                          [(i, i + 1) for i in range(len(tasks))], jobs)
     out = []
     for gi, (a, b) in enumerate(points):
         rs = results[gi * trials:(gi + 1) * trials]

@@ -11,14 +11,15 @@ Total probes: h (h - 1) / 2 + (n - h) 2 g.  Ties in phase 2 go to
 cluster 0.
 
 The oracle counts distinct pairs from a record of what it probed, not
-from an n x n bitmap: one block of sorted index arrays per probe call,
-plus an n-byte mask of touched vertices.  Only pairs with two touched
-ends are looked up, so phase 2, whose rows are fresh, never reads it.
-The phase-1 block is held as packed bits, h rows of ceil(h / 64) words
-(the full rows of `Graph.packed_rows`), about h^2 / 8 bytes.  Both
-oracles fill it by one skeleton, `_answer_block`, answering each
-unordered pair once and mirroring it into those bits; the sphere oracle
-decides by `generators._gbm_edges` on column-major points read in place.
+from an n x n bitmap: one block of index arrays per probe call, stored
+once each (phase 2's blocks share one array of probes), plus an n-byte
+mask of touched vertices.  Only pairs with two touched ends are looked
+up, so phase 2, whose rows are fresh, never reads it.  The phase-1
+block is held as packed bits, h rows of ceil(h / 64) words (the full
+rows of `Graph.packed_rows`), about h^2 / 8 bytes.  Both oracles fill
+it by one method, `EdgeOracle._block_answer`, answering each unordered
+pair once and mirroring it into those bits; the sphere oracle decides
+by `generators._gbm_edges` on column-major points read in place.
 The filter streams over the block in row chunks and holds one partition
 of the sample: a chunk's pairs above the diagonal that join two
 components are counted by `recovery._window_counts`, the package's one
@@ -72,22 +73,23 @@ def usable_cores() -> int:
 THREADS = usable_cores()
 
 
-def _map_chunks(fn, chunks: list) -> list:
-    """[fn(i0, i1) for (i0, i1) in chunks], run on min(THREADS, len(chunks)) threads.
+def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
+    """[fn(i0, i1) for (i0, i1) in chunks] on min(threads, len(chunks)) threads, THREADS unless given.
 
     Chunk k goes to thread k % threads (round-robin), so chunks that shrink
     from first to last still split evenly.  The caller's thread runs share
     0 and a pool of threads - 1 workers, made for this call, runs the
     rest; the call returns or raises only once every worker has finished,
     so no thread outlives it.  One more arena of freed memory per worker
-    is what the threads cost in resident memory.  With one thread no pool is made and the chunks run in order.
+    is what the threads cost in resident memory.  With one thread no pool
+    is made and the chunks run in order.
     `fn` must be safe to run on several chunks at once, must not call
     `_map_chunks`, and must call no function that `bench/spans.py` wraps,
     since its recorder keeps one stack of open spans.  So the oracle's
     chunks call its `_rule`, never `_answer`, and a traced phase sweep
     (`_phase_trial` is a span target) must run at jobs = 1.
     """
-    threads = min(THREADS, len(chunks))
+    threads = min(THREADS if threads is None else threads, len(chunks))
     if threads < 2:
         return [fn(*c) for c in chunks]
     from concurrent.futures.thread import ThreadPoolExecutor
@@ -114,15 +116,6 @@ def _chunks(rows: int, step: int) -> list:
     return [(i0, min(i0 + step, rows)) for i0 in range(0, rows, step)]
 
 
-def _zero_block(h: int) -> tuple[np.ndarray, list]:
-    """The zeroed (h, ceil(h / 64)) uint64 words of a size-h packed block,
-    and its answer chunks (i0, i1): about 2^19 / THREADS cells each, so
-    the chunks in flight hold what one chunk of 2^19 cells would, and a
-    multiple of 8 rows so that `_mirror_bits` writes whole bytes."""
-    step = 8 * max(1, _chunk_rows(h, _CHUNK_CELLS // THREADS) // 8)
-    return np.zeros((h, -(-h // 64)), dtype=np.uint64), _chunks(h, step)
-
-
 # Chunks of one block may call `_mirror_bits` at once: their writes touch
 # disjoint bytes.  Chunk [i0, i1) writes its rows i0 to i1 - 1 (from byte
 # column i0 / 8 on) and byte columns i0 / 8 to i1 / 8 - 1 (from row i0
@@ -142,14 +135,6 @@ def _mirror_bits(words: np.ndarray, i0: int, answers: np.ndarray) -> None:
     out[i0:, b0:b0 + cols.shape[1]] = cols
 
 
-def _answer_block(h: int, answer) -> np.ndarray:
-    """The packed words of a size-h symmetric block: `_mirror_bits` of `answer(i0, i1)`,
-    rows i0 to i1 - 1 against columns i0 on, for `_zero_block`'s chunks on `_map_chunks`."""
-    words, chunks = _zero_block(h)
-    _map_chunks(lambda i0, i1: _mirror_bits(words, i0, answer(i0, i1)), chunks)
-    return words
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """Sorted distinct entries of a 1-D array; a sort, cheaper than numpy's hashed unique."""
     a = np.sort(a)
@@ -160,13 +145,15 @@ class EdgeOracle:
     """Counts distinct unordered pairs probed; subclasses answer adjacency.
 
     The probe record keeps what was probed, not an n x n bitmap: a list of
-    blocks (rows, cols) of sorted vertex arrays, one per `query_cross` or
+    blocks (rows, cols) of vertex arrays, one per `query_cross` or
     `query_block` call (a sample S is the block (S, S)), each covering the
     pairs with one end in rows and the other in cols; the sorted lo * n + hi
     keys of `query_pairs` probes; and an n-byte mask of the vertices any
-    probe touched.  A new probe counts its pairs minus those already in
-    the union of the record.  Only a pair whose two ends were both touched
-    before can be in it, so only those pairs are looked up.
+    probe touched.  A block holds the call's own copies in the caller's
+    order, but cols equal to the last block's share its array, so phase
+    2's record is O(n + h).  A new probe counts its pairs minus those
+    already in the union of the record.  Only a pair whose two ends were
+    both touched before can be in it, so only those pairs are looked up.
     """
 
     def __init__(self, n: int):
@@ -191,6 +178,13 @@ class EdgeOracle:
         """`query_pairs`' answers: `_rule` on the pairs (us, vs), on the caller's thread."""
         return self._rule()(us, vs)
 
+    def _vertices(self, a) -> np.ndarray:
+        """A flat int64 copy of the vertex ids `a`; ValueError unless each lies in [0, n)."""
+        a = np.array(a, dtype=np.int64).ravel()
+        if len(a) and (a.min() < 0 or a.max() >= self.n):
+            raise ValueError("vertex id out of range")
+        return a
+
     def _recorded(self, us: np.ndarray, vs: np.ndarray) -> int:
         """How many of the distinct pairs (us[i], vs[i]) the record holds; 0 unless one has two touched ends."""
         old = self._touched[us] & self._touched[vs]
@@ -210,8 +204,7 @@ class EdgeOracle:
 
     def query_pairs(self, us, vs) -> np.ndarray:
         """Vectorized probe; repeated pairs answer identically without recounting."""
-        us = np.asarray(us, dtype=np.int64).ravel()
-        vs = np.asarray(vs, dtype=np.int64).ravel()
+        us, vs = self._vertices(us), self._vertices(vs)
         if np.any(us == vs):
             raise ValueError("self-pairs cannot be probed")
         # a pair may repeat within one call; count it once
@@ -226,24 +219,23 @@ class EdgeOracle:
         """Probe every pair in rows x cols; returns the (len(rows), len(cols)) answers.
 
         `rows` and `cols` must each be duplicate-free and disjoint from one
-        another, so the block's pairs are distinct.  The probe record is
-        kept on the caller's thread; the answers come from `_rule` in row
-        chunks of about 2^19 / THREADS cells on `_map_chunks`, each writing
-        its own rows of the result, so the rule's temporaries stay a few MB
-        whatever the block's size.
+        another, so the block's pairs are distinct; one sort of the two
+        together checks both.  The probe record is kept on the caller's
+        thread; the answers come from `_rule` in row chunks of about
+        2^19 / THREADS cells on `_map_chunks`, each writing its own rows of
+        the result, so the rule's temporaries stay a few MB whatever the
+        block's size.
         """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        srows, scols = _distinct(rows), _distinct(cols)
-        if len(srows) != len(rows) or len(scols) != len(cols):
-            raise ValueError("rows and cols must not contain duplicates")
-        if len(np.intersect1d(srows, scols, assume_unique=True)):
-            raise ValueError("rows and cols must be disjoint")
-        old_r = srows[self._touched[srows]]
-        old_c = scols[self._touched[scols]]
+        rows, cols = self._vertices(rows), self._vertices(cols)
+        if len(_distinct(np.concatenate([rows, cols]))) != len(rows) + len(cols):
+            raise ValueError("rows and cols must be duplicate-free and disjoint")
+        old_r = rows[self._touched[rows]]
+        old_c = cols[self._touched[cols]]
         seen = self._recorded(np.repeat(old_r, len(old_c)), np.tile(old_c, len(old_r)))
         self.queries += len(rows) * len(cols) - seen
-        self._record_block(srows, scols)
+        if self._blocks and np.array_equal(self._blocks[-1][1], cols):
+            cols = self._blocks[-1][1]
+        self._record_block(rows, cols)
         out = np.empty((len(rows), len(cols)), dtype=bool)
         rule = self._rule()
 
@@ -260,20 +252,15 @@ class EdgeOracle:
         full-row case of `Graph.packed_rows` (every window start 0).  The
         diagonal and the bits past column h - 1 are 0.
         """
-        sample = np.asarray(sample, dtype=np.int64).ravel()
-        ssample = _distinct(sample)
-        if len(ssample) != len(sample):
+        sample = self._vertices(sample)
+        if len(_distinct(sample)) != len(sample):
             raise ValueError("sample must not contain duplicates")
         h = len(sample)
-        old = ssample[self._touched[ssample]]
+        old = sample[self._touched[sample]]
         iu, jv = np.triu_indices(len(old), 1)
         self.queries += h * (h - 1) // 2 - self._recorded(old[iu], old[jv])
-        self._record_block(ssample, ssample)
-        words = self._block_answer(sample)
-        # column i of row i is bit 7 - i % 8 of byte i // 8
-        i = np.arange(h)
-        words.view(np.uint8)[i, i >> 3] &= ~(np.uint8(0x80) >> (i & 7).astype(np.uint8))
-        return words
+        self._record_block(sample, sample)
+        return self._block_answer(sample)
 
     def query_block(self, sample) -> np.ndarray:
         """Probe all pairs among `sample` (duplicate-free); returns the induced adjacency matrix."""
@@ -281,9 +268,21 @@ class EdgeOracle:
         return np.unpackbits(words.view(np.uint8), axis=1, count=len(words)).view(bool)
 
     def _block_answer(self, sample: np.ndarray) -> np.ndarray:
-        """`_rule()` on each unordered pair of the sample's vertex ids once, by `_answer_block`'s row chunks."""
+        """`query_block_bits`' words: `_rule()` once per unordered pair of the sample, on `_map_chunks`.
+
+        Row chunk [i0, i1), a multiple of 8 rows and about 2^19 / THREADS
+        cells, asks for sample[i0:i1] against sample[i0:], clears its
+        diagonal and hands the answers to `_mirror_bits`."""
+        h = len(sample)
+        words = np.zeros((h, -(-h // 64)), dtype=np.uint64)
         rule = self._rule()
-        return _answer_block(len(sample), lambda i0, i1: rule(sample[i0:i1, None], sample[i0:]))
+
+        def answer(i0, i1):
+            answers = rule(sample[i0:i1, None], sample[i0:])
+            np.fill_diagonal(answers, False)
+            _mirror_bits(words, i0, answers)
+        _map_chunks(answer, _chunks(h, 8 * max(1, _chunk_rows(h, _CHUNK_CELLS // THREADS) // 8)))
+        return words
 
 
 class GraphEdgeOracle(EdgeOracle):

@@ -29,6 +29,13 @@ def make_instance(n, t, r_s, r_d, seed):
     return emb, labels
 
 
+class Parity(dn.EdgeOracle):
+    """An oracle whose edges join vertices of equal parity."""
+
+    def _rule(self):
+        return lambda us, vs: (us + vs) % 2 == 0
+
+
 class TestEdgeOracle:
     def test_purity_and_counting(self):
         inst = gen.gen_gbm_t(60, 2, 0.6, 0.3, seed=2)
@@ -115,10 +122,6 @@ class TestEdgeOracle:
 
     def test_no_quadratic_state(self):
         # n = 1e6 would need 1 TB as an n x n bitmap; the record is O(n + probes)
-        class Parity(dn.EdgeOracle):
-            def _rule(self):
-                return lambda us, vs: (us + vs) % 2 == 0
-
         n = 10 ** 6
         tracemalloc.start()
         try:
@@ -133,6 +136,41 @@ class TestEdgeOracle:
         assert np.array_equal(ans, (np.arange(10)[:, None] + np.arange(n - 20, n)) % 2 == 0)
         # (3, n - 1) came with the cross block; (0, n - 20) and (7, n - 2) too
         assert orc.queries == 10 * 20 + 2
+
+    def test_blocks_against_the_same_cols_share_one_array(self):
+        # phase 2's pattern: fresh rows against one array of probes, whose
+        # 160 KB would otherwise be stored again by each of the 200 blocks
+        n = 10 ** 6
+        cols = np.arange(n - 20_000, n)
+        orc = Parity(n)
+        tracemalloc.start()
+        try:
+            orc.query_cross(np.arange(8), cols)
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(1, 200):
+                orc.query_cross(np.arange(8 * k, 8 * k + 8), cols)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1 << 20
+        assert orc.queries == 200 * 8 * 20_000
+
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    @pytest.mark.parametrize("call", ["query_pairs", "query_cross", "query_block_bits"])
+    @pytest.mark.parametrize("make", ["graph", "rule"])
+    def test_rejects_vertex_ids_out_of_range(self, bad, call, make):
+        inst = gen.gen_gbm_t(20, 2, 0.6, 0.3, seed=2)
+        orc = (dn.GraphEdgeOracle(inst.graph) if make == "graph"
+               else dn.GbmEdgeOracle(inst.embeddings, inst.truth, 0.6, 0.3))
+        orc.query_pairs([1], [2])
+        bad = orc.n if bad == "n" else bad
+        args = {"query_pairs": ([bad], [5]), "query_cross": ([bad], [5]),
+                "query_block_bits": ([5, bad],)}[call]
+        touched = orc._touched.copy()
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            getattr(orc, call)(*args)
+        assert orc.queries == 1
+        assert np.array_equal(orc._touched, touched)
 
     def test_points_read_in_place(self):
         # one pair of n = 2e5 points on S^2: the answer allocates a few index
@@ -231,6 +269,17 @@ class TestQueryCross:
         assert np.array_equal(got, orc._answer(rows[:, None], cols[None, :]))
         assert orc.queries == 300 * 4096
         assert got.dtype == bool and got.shape == (300, 4096)
+
+    def test_the_record_owns_its_arrays(self):
+        # the caller's arrays may change after the call; the record may not
+        inst = gen.gen_gbm_t(60, 2, 0.6, 0.3, seed=2)
+        orc = dn.GraphEdgeOracle(inst.graph)
+        rows, cols = np.array([9, 3]), np.array([0, 55, 21])
+        orc.query_cross(rows, cols)
+        orc.query_cross(np.array([40]), cols)
+        rows[:], cols[:] = [1, 2], [4, 5, 6]
+        orc.query_cross([9, 3, 40], [0, 55, 21])
+        assert orc.queries == 9
 
     @pytest.mark.parametrize("rows, cols", [
         ([1, 2, 1], [5, 6]),        # duplicate row
@@ -528,12 +577,17 @@ class TestThreads:
         # of 8), and at 2^19 cells for h = 2000 (16 chunks of 128 rows)
         monkeypatch.setattr(dn, "_CHUNK_CELLS", cells)
         several = h == 2000 or (cells == 1 << 10 and h >= 63)
-        assert (len(at_threads(2, dn._zero_block, h)[1]) > 1) == several
+        maps = []
+        map_chunks = dn._map_chunks
+        monkeypatch.setattr(dn, "_map_chunks", lambda fn, chunks, *a: maps.append(len(chunks))
+                            or map_chunks(fn, chunks, *a))
         sample = np.sort(substream(h).choice(instance.graph.n, h, replace=False))
         for make in (lambda: dn.GbmEdgeOracle(instance.embeddings, instance.truth, 0.8, 0.4),
                      lambda: dn.GraphEdgeOracle(instance.graph)):
             one = at_threads(1, make().query_block_bits, sample)
+            del maps[:]
             assert np.array_equal(at_threads(2, make().query_block_bits, sample), one)
+            assert len(maps) == 1 and (maps[0] > 1) == several
 
     def test_block_bits_under_forced_switching(self, monkeypatch, instance):
         # six threads on fewer cores, switching every microsecond: a lost or

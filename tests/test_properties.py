@@ -760,8 +760,10 @@ class TestProbeRecord:
                 probed |= {(min(a, b), max(a, b)) for a in sample for b in sample if a != b}
             else:
                 if cols is not None and data.draw(st.booleans()):
-                    # phase 2's pattern: other rows against the last cross call's cols
-                    cols = np.array(data.draw(st.permutations(cols.tolist())), np.int64)
+                    # phase 2's pattern: other rows against the last cross call's cols,
+                    # as they were (the record then shares its array) or permuted
+                    if data.draw(st.booleans()):
+                        cols = np.array(data.draw(st.permutations(cols.tolist())), np.int64)
                     rest = sorted(set(range(n)) - set(cols.tolist()))
                     rows = np.array(data.draw(st.lists(st.sampled_from(rest), unique=True))
                                     if rest else [], np.int64)
