@@ -5,17 +5,17 @@ unassigned vertex (treated as its own singleton cluster and counted as an
 error).  Both metrics, the pair f-score and the node error rate, are read
 off one sparse contingency table, `_contingency`, whose size is the
 number of occupied cells.  Connectivity diagnostics work on Graph objects
-or raw edge arrays; phase sweeps generate seeded trial graphs per grid
-point and report empirical frequencies.  A sweep runs its trials on
-`jobs` threads of this process through `dense._map_chunks`, the helper
-that dense mode uses, one chunk per trial dealt round-robin; the seeds
-fix each trial, so the output is the same for any `jobs`.
+or raw edge arrays.  A phase sweep reports empirical frequencies over an
+(a, b) grid; its one runner, `_grid_trials`, seeds each trial of each
+grid point and deals the trials round-robin to `jobs` threads of this
+process through `dense._map_chunks`, the helper that dense mode uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -113,6 +113,8 @@ def isolated_count(graph: Graph) -> int:
 
 def isolated_expectation_1d(n: int, a: float, b: float) -> float:
     """Expected isolated-vertex count n (1 - 2 (a-b) log n / n)^(n-1) on the circle."""
+    if not 0 <= b <= a:
+        raise ValueError("need 0 <= b <= a")
     p = 2.0 * (a - b) * math.log(n) / n
     if p > 1.0:
         raise ValueError("band measure exceeds 1; expectation formula invalid")
@@ -222,9 +224,8 @@ def _circle_bands_connectivity(p: np.ndarray, bands) -> tuple[bool, int, int]:
     return ncomp == 1, isolated, ncomp
 
 
-def _phase_trial(args) -> tuple[bool, bool, int]:
-    family, n, a, b, c, t, seed, gi, ti = args
-    trial_seed = (seed, gi, ti)
+def _phase_trial(family: str, n: int, c: float, t: int, a: float, b: float, seed) -> tuple[bool, bool, int]:
+    """(connected, has an isolated vertex, component count) of one `family` graph at (a, b)."""
     ln = math.log(n)
     if family in ("rag1", "interval_union"):
         # rag1 is the one-band union; rank order stands in for vertex ids,
@@ -233,11 +234,11 @@ def _phase_trial(args) -> tuple[bool, bool, int]:
         if family == "interval_union":
             bands = ((0.0, c * ln / n),) + bands
         bands = IntervalSet(bands).intervals
-        p = np.sort(sample_circle(_seeded(trial_seed), n))
+        p = np.sort(sample_circle(_seeded(seed), n))
         _, iso, ncomp = _circle_bands_connectivity(p, bands)
     elif family == "rag_t":
         _, u, v = rag_t_edges_only(n, t, radius_from_scale(b, n, t),
-                                   radius_from_scale(a, n, t), trial_seed)
+                                   radius_from_scale(a, n, t), seed)
         deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         iso = int((deg == 0).sum())
         ncomp = _components_from_edges(n, u, v)
@@ -246,16 +247,26 @@ def _phase_trial(args) -> tuple[bool, bool, int]:
     return ncomp == 1, iso > 0, ncomp
 
 
+def _grid_trials(trial, points, trials: int, seed: int, jobs: int) -> list[list]:
+    """Each grid point's [trial(a, b, (seed, gi, ti)) for ti in range(trials)], in grid order.
+
+    The seeds fix each trial, so the results are the same for any `jobs`.
+    Trial i of the flattened grid runs on thread i % jobs of `_map_chunks`;
+    with jobs = 1 the trials run in order on the caller's thread.
+    """
+    tasks = [(float(a), float(b), (seed, gi, ti))
+             for gi, (a, b) in enumerate(points) for ti in range(trials)]
+    results = _map_chunks(lambda i, _: trial(*tasks[i]), [(i, i + 1) for i in range(len(tasks))], jobs)
+    return [results[i:i + trials] for i in range(0, len(results), trials)]
+
+
 def phase_sweep(n: int, points, trials: int, seed: int,
                 family: str = "rag1", t: int = 1, c: float = 0.0,
                 jobs: int = 1) -> list[PhasePoint]:
-    """Empirical connectivity/isolation frequencies over an (a, b) grid.
+    """Empirical connectivity/isolation frequencies over an (a, b) grid, in grid order.
 
-    Trial seeds derive from (seed, grid_index, trial_index) substreams, so
-    points are independent and reproducible in isolation.  Output order
-    follows the input grid regardless of execution schedule.  Trial i
-    runs on thread i % jobs of `_map_chunks`; with jobs = 1 the trials run
-    in order on the caller's thread and no pool is made.
+    Each point averages its `trials` results of `_phase_trial` from
+    `_grid_trials`, which seeds trial ti of point gi with (seed, gi, ti).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -264,17 +275,6 @@ def phase_sweep(n: int, points, trials: int, seed: int,
     if jobs > usable_cores():
         # a thread past the cores gains nothing, and each holds one trial's arrays
         raise ValueError(f"jobs must be at most the {usable_cores()} usable cores, got {jobs}")
-    tasks = [(family, n, float(a), float(b), c, t, seed, gi, ti)
-             for gi, (a, b) in enumerate(points) for ti in range(trials)]
-    results = _map_chunks(lambda i, _: _phase_trial(tasks[i]),
-                          [(i, i + 1) for i in range(len(tasks))], jobs)
-    out = []
-    for gi, (a, b) in enumerate(points):
-        rs = results[gi * trials:(gi + 1) * trials]
-        out.append(PhasePoint(
-            a=float(a), b=float(b), trials=trials,
-            connected_frac=sum(r[0] for r in rs) / trials,
-            isolated_frac=sum(r[1] for r in rs) / trials,
-            mean_components=sum(r[2] for r in rs) / trials,
-        ))
-    return out
+    results = _grid_trials(partial(_phase_trial, family, n, c, t), points, trials, seed, jobs)
+    return [PhasePoint(float(a), float(b), trials, *(sum(f) / trials for f in zip(*rs)))
+            for (a, b), rs in zip(points, results)]

@@ -419,9 +419,14 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,
                   plan: DensePlan, seed: int) -> DenseResult:
-    """Two-phase recovery through the oracle; deterministic given seed."""
+    """Two-phase recovery through the oracle; deterministic given seed.
+
+    n, t, r_s and r_d must be the plan's own; the plan's thresholds are what run.
+    """
     if oracle.n != n:
         raise ValueError("oracle size does not match n")
+    if (n, t, r_s, r_d) != (plan.n, plan.t, plan.r_s, plan.r_d):
+        raise ValueError("n, t, r_s and r_d must be those of the plan")
     rng = substream(seed, 0xDE45E)
     h, g = plan.h, plan.g
 

@@ -81,14 +81,7 @@ def sample_sphere(rng: np.random.Generator, n: int, t: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     g = normal_rows(rng, n, t + 1)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # zero norm has probability zero; guard against pathological streams
-    norms[norms == 0.0] = 1.0
-    x = g / norms
-    bad = np.abs(np.linalg.norm(x, axis=1) - 1.0) > 1e-12
-    if np.any(bad):
-        x[bad] /= np.linalg.norm(x[bad], axis=1, keepdims=True)
-    return x
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def _chord_angle(c: float) -> float:

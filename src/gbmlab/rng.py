@@ -21,24 +21,17 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *map(int, indices)])))
 
 
-def uniform_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """(n, k) uniforms drawn vertex-major.
-
-    Philox is counter based, so the first n0 rows coincide for any two
-    calls with the same stream and n >= n0.
-    """
-    return rng.random((n, k))
-
-
 def normal_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """(n, k) standard normals via inverse CDF over vertex-major uniforms.
 
     Uses a fixed one-uniform-per-normal transform instead of the
-    generator's rejection sampler so the prefix property survives.
+    generator's rejection sampler so the prefix property survives: Philox
+    is counter based, so the first n0 rows coincide for any two calls with
+    the same stream and n >= n0.
     """
     from scipy.special import ndtri
 
-    u = uniform_rows(rng, n, k)
+    u = rng.random((n, k))
     # ndtri(0) = -inf; the generator's uniforms are in [0, 1) so only the
     # exact 0 endpoint needs a nudge.
     return ndtri(np.maximum(u, 1e-300))

@@ -209,6 +209,12 @@ class TestIsolated:
     def test_expectation_1d_degenerate(self):
         assert ana.isolated_expectation_1d(1000, 0.7, 0.7) == 1000
 
+    @pytest.mark.parametrize("n, a, b", [(10, 1, 2), (1000, 0.7, -0.1)])
+    def test_expectation_1d_rejects_band(self, n, a, b):
+        # a < b and b < 0 gave a negative band measure, so a count above n
+        with pytest.raises(ValueError, match="need 0 <= b <= a"):
+            ana.isolated_expectation_1d(n, a, b)
+
     def test_expectation_1d_decreasing_in_gap(self):
         vals = [ana.isolated_expectation_1d(10_000, 0.5 + d, 0.5) for d in (0.1, 0.2, 0.4)]
         assert vals[0] > vals[1] > vals[2]
@@ -316,13 +322,31 @@ class TestPhaseSweep:
         ran_on = set()
         trial = ana._phase_trial
         monkeypatch.setattr(ana, "_phase_trial",
-                            lambda task: ran_on.add(threading.current_thread().name) or trial(task))
+                            lambda *args: ran_on.add(threading.current_thread().name) or trial(*args))
         pts = [(1.5, 0.9)]
         seq = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=1)
         assert ran_on == {threading.current_thread().name}
         par = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=2)
         assert seq == par
         assert any(name.startswith("gbmlab") for name in ran_on)
+        assert not gbmlab_threads()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_trials_seeds_order_and_threads(self, jobs):
+        # each point's results come back in trial order, seeded (seed, gi, ti),
+        # and trial i of the flattened grid runs on thread i % jobs, 0 the caller's
+        caller = threading.current_thread()
+        on_caller = {}
+
+        def trial(a, b, seed):
+            on_caller[seed] = threading.current_thread() is caller
+            return a, b, seed
+
+        pts = [(1.5, 0.9), (2.0, 0.0), (0.7, 0.3)]
+        got = ana._grid_trials(trial, pts, 4, 7, jobs)
+        assert got == [[(a, b, (7, gi, ti)) for ti in range(4)] for gi, (a, b) in enumerate(pts)]
+        assert [on_caller[(7, gi, ti)] for gi in range(3) for ti in range(4)] == \
+            [i % jobs == 0 for i in range(12)]
         assert not gbmlab_threads()
 
     def test_interval_union_family(self):
@@ -343,7 +367,7 @@ class TestPhaseSweep:
         n = 3000
         ln = math.log(n)
         for ti in range(4):
-            got = ana._phase_trial(("rag1", n, a, b, 0.0, 1, 31, 0, ti))
+            got = ana._phase_trial("rag1", n, 0.0, 1, a, b, (31, 0, ti))
             g, _ = gen.gen_rag1(n, b * ln / n, a * ln / n, (31, 0, ti))
             u, v = g.edges[:, 0], g.edges[:, 1]
             ncomp = len(np.unique(bfs_components(n, zip(u.tolist(), v.tolist()))))
@@ -354,7 +378,7 @@ class TestPhaseSweep:
     def test_rag1_trial_rejects_band(self, a, b):
         # r1 > r2, r1 < 0 and r2 > 1/2 (60 log(500) / 500 = 0.75)
         with pytest.raises(ValueError):
-            ana._phase_trial(("rag1", 500, a, b, 0.0, 1, 31, 0, 0))
+            ana._phase_trial("rag1", 500, 0.0, 1, a, b, (31, 0, 0))
 
     def test_rag_t_family(self):
         out = ana.phase_sweep(800, [(8.0, 0.5)], trials=3, seed=4,

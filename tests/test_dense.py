@@ -839,6 +839,17 @@ class TestDenseRecover:
         a, b = res.labels[cliques[0]], res.labels[cliques[1]]
         assert len(set(a)) == len(set(b)) == 1 and a[0] != b[0]
 
+    @pytest.mark.parametrize("other", [(700, 2, 0.8, 0.4), (600, 3, 0.8, 0.4),
+                                       (600, 2, 0.9, 0.4), (600, 2, 0.8, 0.3)])
+    def test_rejects_a_plan_for_other_values(self, other):
+        # the plan's thresholds are what run, so other values must not pass silently
+        n, t, r_s, r_d = 600, 2, 0.8, 0.4
+        emb, labels = make_instance(n, t, r_s, r_d, seed=46)
+        orc = dn.GbmEdgeOracle(emb, labels, r_s, r_d)
+        with pytest.raises(ValueError, match="must be those of the plan"):
+            dn.dense_recover(orc, n, t, r_s, r_d, th.dense_plan(*other), seed=1)
+        assert orc.queries == 0
+
     def test_ties_recorded(self):
         n, t, r_s, r_d = 2000, 2, 0.8, 0.4
         plan = th.dense_plan(n, t, r_s, r_d)

@@ -583,7 +583,7 @@ class TestCircleBandsConnectivity:
                 g, _ = gen.gen_interval_union_graph(n, ivs, (seed, 0, 0))
             ncomp = rec._components(n, g.indptr, g.indices)[0]
             iso = int((g.degrees() == 0).sum())
-            got = ana._phase_trial((family, n, a, b, c, 1, seed, 0, 0))
+            got = ana._phase_trial(family, n, c, 1, a, b, (seed, 0, 0))
             assert got == (ncomp == 1, iso > 0, ncomp)
 
 
