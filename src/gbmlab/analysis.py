@@ -267,7 +267,9 @@ def phase_sweep(n: int, points, trials: int, seed: int,
 
     Each point averages its `trials` results of `_phase_trial` from
     `_grid_trials`, which seeds trial ti of point gi with (seed, gi, ti).
+    `points` may be any iterable of (a, b); it is read once.
     """
+    points = list(points)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:

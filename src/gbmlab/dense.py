@@ -28,8 +28,10 @@ pair list exists; every other temporary is chunk-sized.
 
 Both phases run on up to THREADS threads (the usable cores), through one
 helper, `_map_chunks`, which deals row chunks round-robin to them on a
-pool made for the call, so no thread outlives it; `analysis.phase_sweep`
-runs its trials on the same helper.  The filter counts a round of
+pool made for the call, so no thread outlives it.  It is the package's
+one helper for threads: `analysis.phase_sweep` runs its trials on it,
+`recovery._window_counts` its shares of pairs, and `graph` its integer
+text rows and the two halves of a graph file.  The filter counts a round of
 THREADS chunks against one snapshot of the partition and merges their
 kept pairs at once, which leaves the partition exact.  Phase 2's cross
 blocks are answered in row chunks that write disjoint rows of the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -76,6 +79,10 @@ THREADS = usable_cores()
 def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
     """[fn(i0, i1) for (i0, i1) in chunks] on min(threads, len(chunks)) threads, THREADS unless given.
 
+    The package's one helper for threads.  Its callers: the oracle's
+    block answers and phase 1's counting rounds here, `analysis.phase_sweep`'s
+    trials, `recovery._window_counts`' shares of pairs, and the integer
+    rows of `graph._write_rows` and the two halves of `graph.read_graph`.
     Chunk k goes to thread k % threads (round-robin), so chunks that shrink
     from first to last still split evenly.  The caller's thread runs share
     0 and a pool of threads - 1 workers, made for this call, runs the
@@ -84,14 +91,18 @@ def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
     is what the threads cost in resident memory.  With one thread no pool
     is made and the chunks run in order.
     `fn` must be safe to run on several chunks at once, must not call
-    `_map_chunks`, and must call no function that `bench/spans.py` wraps,
-    since its recorder keeps one stack of open spans.  So the oracle's
-    chunks call its `_rule`, never `_answer`, and a traced phase sweep
-    (`_phase_trial` is a span target) must run at jobs = 1.
+    `_map_chunks` on more than one thread (a worker that does raises
+    RuntimeError; `_count_chunk` counts its pairs at threads = 1), and
+    must call no function that `bench/spans.py` wraps, since its recorder
+    keeps one stack of open spans.  So the oracle's chunks call its
+    `_rule`, never `_answer`, and a traced phase sweep (`_phase_trial` is
+    a span target) must run at jobs = 1.
     """
     threads = min(THREADS if threads is None else threads, len(chunks))
     if threads < 2:
         return [fn(*c) for c in chunks]
+    if threading.current_thread().name.startswith("gbmlab"):
+        raise RuntimeError("_map_chunks called on more than one thread from one of its own workers")
     from concurrent.futures.thread import ThreadPoolExecutor
 
     def run(share):
@@ -370,7 +381,8 @@ def _count_chunk(words: np.ndarray, comp: np.ndarray, e_s: float, e_d: Optional[
     upper = len(uu)
     apart = comp[uu] != comp[vv]
     uu, vv = uu[apart], vv[apart]
-    keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv), e_s, e_d)
+    # this chunk already runs on a thread of its own, so its kernel runs on one
+    keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv, 1), e_s, e_d)
     return degrees, columns, upper, uu[keep], vv[keep]
 
 

@@ -14,10 +14,12 @@ the CLI's CSV) goes through one row writer, `_write_rows`.
 from __future__ import annotations
 
 import ctypes
+import os
+import re
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -244,14 +246,66 @@ def empty_graph(n: int) -> Graph:
 
 #: `_write_rows` formats this many rows per string
 _WRITE_CHUNK = 1 << 16
+#: `read_graph` parses edge lines of at least this many bytes in two halves
+_READ_HALVES = 1 << 20
+#: a row format that `_digit_rows` prints: `%d` fields, each followed by one ASCII character
+_DIGIT_ROW = re.compile(r"(?:%d[\x01-\x24\x26-\x7f])+")
+
+
+def _digit_rows(rows: np.ndarray, seps: bytes) -> str:
+    """The rows of the 2-D integer array `rows` as `%d` fields, field j followed by seps[j].
+
+    Numpy digit arithmetic in place of `%` formatting: the magnitudes, in
+    int32 when they fit and else in uint64 (where -(-2^63) is 2^63, which
+    `np.abs` overflows on), are taken apart by w passes of `//= 10` into a
+    (fields, w + 2) byte matrix of sign, w digits and separator.  The
+    leading zeros and the sign of a value >= 0 are 0 bytes there, which one
+    `bytes.translate` drops.
+    """
+    v = rows.ravel()
+    top = max(int(v.max()), -int(v.min()))
+    if top < 2 ** 31:
+        mag = np.abs(v.astype(np.int32))
+    else:
+        mag = v.astype(np.uint64)
+        np.negative(mag, out=mag, where=v < 0)
+    w = len(str(top))
+    out = np.zeros((len(v), w + 2), dtype=np.uint8)
+    out[v < 0, 0] = ord("-")
+    out[:, w + 1].reshape(rows.shape)[:] = np.frombuffer(seps, dtype=np.uint8)
+    q, digit = np.empty_like(mag), np.empty_like(mag)
+    for j in range(w, 0, -1):
+        np.floor_divide(mag, 10, out=q)
+        np.multiply(q, 10, out=digit)
+        np.subtract(mag, digit, out=digit)
+        digit += ord("0")
+        if j < w:
+            # nothing left of the value: a leading zero
+            digit *= mag != 0
+        out[:, j] = digit
+        mag, q = q, mag
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_rows(stream, row_format: str, rows: np.ndarray) -> None:
-    """Write each row of the 2-D array `rows` through the one-row `%` format, one string per
-    chunk of rows; an object array keeps mixed values as they are, so `%s` prints `str(x)`."""
-    for i0 in range(0, len(rows), _WRITE_CHUNK):
-        chunk = rows[i0:i0 + _WRITE_CHUNK]
-        stream.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+    """Write each row of the 2-D array `rows` through the one-row format, one string per
+    chunk of `_WRITE_CHUNK` rows.
+
+    An integer array whose format `_DIGIT_ROW` matches is printed by
+    `_digit_rows`, a round of THREADS chunks at a time on `dense._map_chunks`,
+    and each round is written before the next is formatted.  Any other
+    array is `%` formatted on the caller's thread; an object array keeps
+    mixed values as they are, so `%s` prints `str(x)`.
+    """
+    from .dense import THREADS, _chunks, _map_chunks
+    if rows.dtype.kind in "iu" and _DIGIT_ROW.fullmatch(row_format) and rows.shape[1] == row_format.count("%"):
+        text, threads = partial(_digit_rows, seps=row_format.replace("%d", "").encode()), None
+    else:
+        text, threads = lambda chunk: (row_format * len(chunk)) % tuple(chunk.ravel().tolist()), 1
+    chunks = _chunks(len(rows), _WRITE_CHUNK)
+    for k in range(0, len(chunks), THREADS):
+        for part in _map_chunks(lambda i0, i1: text(rows[i0:i1]), chunks[k:k + THREADS], threads):
+            stream.write(part)
 
 
 def write_graph(path: str, graph: Graph, t: int = 1) -> None:
@@ -264,28 +318,46 @@ def write_graph(path: str, graph: Graph, t: int = 1) -> None:
 def read_graph(path: str) -> tuple[Graph, int]:
     """Read the format written by write_graph; returns (graph, t).
 
-    The edge lines are parsed as one run of whitespace-separated integers.
-    Raises ValueError on a malformed header (three integers n >= 0,
-    m >= 0 and t >= 1 expected), a token that is not an integer, an odd
-    number of endpoints or an edge count other than m.
+    The edge lines are read in two parts, cut at the first LF after their
+    middle byte, when they hold at least `_READ_HALVES` bytes and the file
+    can seek, and else in one.  Each part that is not blank is parsed as
+    one run of whitespace-separated integers by `np.fromstring`, which
+    lets go of the interpreter lock, on `dense._map_chunks`.  Raises
+    ValueError on a malformed header (three integers n >= 0, m >= 0 and
+    t >= 1 expected), a token that is not an integer, an odd number of
+    endpoints or an edge count other than m.
     """
-    with open(path) as fh:
-        header = fh.readline().split()
-        body = fh.read()
+    from .dense import _map_chunks
+    with open(path, "rb") as fh:
+        # a lone CR ends the header line too, as it does in text mode
+        head, _, rest = fh.readline().partition(b"\r")
+        parts = [rest]
+        if fh.seekable() and (size := os.fstat(fh.fileno()).st_size) - fh.tell() >= _READ_HALVES:
+            start = fh.tell()
+            fh.seek((start + size) // 2)
+            fh.readline()
+            cut = fh.tell()
+            fh.seek(start)
+            parts.append(fh.read(cut - start))
+        parts.append(fh.read())
     try:
-        n, m, t = (int(x) for x in header)
+        n, m, t = (int(x) for x in head.decode().split())
     except ValueError:
         raise ValueError(f"{path}: malformed header") from None
     if n < 0 or m < 0 or t < 1:
         raise ValueError(f"{path}: malformed header")
     # np.fromstring reads a blank string as [0]
-    if not body or body.isspace():
-        ends = np.empty(0, np.int64)
-    else:
+    parts = [p for p in parts if p and not p.isspace()]
+
+    def parse(k, _):
         try:
-            ends = np.fromstring(body, dtype=np.int64, sep=" ")
+            return np.fromstring(parts[k], dtype=np.int64, sep=" ")
         except ValueError:
             raise ValueError(f"{path}: edge lines hold a token that is not an integer") from None
+
+    ends = _map_chunks(parse, [(k, k + 1) for k in range(len(parts))])
+    del parts
+    ends = np.concatenate(ends) if ends else np.empty(0, np.int64)
     if len(ends) % 2:
         raise ValueError(f"{path}: odd number of endpoints ({len(ends)})")
     if len(ends) != 2 * m:

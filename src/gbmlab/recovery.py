@@ -84,7 +84,7 @@ def connected_components(n: int, edges) -> np.ndarray:
 
 
 def _window_counts(rows: np.ndarray, starts: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+                   lo: np.ndarray, hi: np.ndarray, threads: Optional[int] = None) -> np.ndarray:
     """popcount(row lo & row hi) for bit-packed rows held in windows of W words.
 
     The one common-neighbor kernel.  `rows` is (n, W): row i's window,
@@ -95,8 +95,12 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     with the window of row hi, so each pair is one AND of two W-word rows,
     the first read from a sliding-window view.  With every start 0 (full
     rows, as in dense phase 1) both rows are gathered directly, with no
-    view and no copy.  Pairs go in chunks of about 2^16 words.
+    view and no copy.  Pairs go in steps of about 2^16 words, over up to
+    `threads` contiguous shares of the pairs (`dense.THREADS` unless
+    given) on `dense._map_chunks`; every share reads the one padded copy
+    and writes its own slice of the counts.
     """
+    from .dense import THREADS, _map_chunks
     w = rows.shape[1]
     shifted = sliding_window_view(np.pad(rows, ((0, 0), (0, w))), w, axis=1) if starts.any() else None
     # a count is an integer of at most 64 W, exact in float32 while
@@ -105,10 +109,17 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     ones = np.ones(w, dtype=np.float32)
     counts = np.empty(len(lo), dtype=np.int64)
     step = max(1, (1 << 16) // max(w, 1))
-    for i0 in range(0, len(lo), step):
-        a, b = lo[i0:i0 + step], hi[i0:i0 + step]
-        left = rows[a] if shifted is None else shifted[a, np.minimum(starts[b] - starts[a], w)]
-        counts[i0:i0 + step] = np.bitwise_count(left & rows[b]).astype(np.float32) @ ones
+
+    def share(s0, s1):
+        for i0 in range(s0, s1, step):
+            i1 = min(i0 + step, s1)
+            a, b = lo[i0:i1], hi[i0:i1]
+            left = rows[a] if shifted is None else shifted[a, np.minimum(starts[b] - starts[a], w)]
+            counts[i0:i1] = np.bitwise_count(left & rows[b]).astype(np.float32) @ ones
+
+    # a share of at least one step each
+    k = max(1, min(THREADS if threads is None else threads, len(lo) // step))
+    _map_chunks(share, [(len(lo) * j // k, len(lo) * (j + 1) // k) for j in range(k)], threads)
     return counts
 
 

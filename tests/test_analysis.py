@@ -298,6 +298,14 @@ class TestPhaseSweep:
             assert 0 <= p.connected_frac <= 1 and 0 <= p.isolated_frac <= 1
             assert p.mean_components >= 1
 
+    def test_points_may_be_any_iterable(self):
+        # the points are read once, so an iterator or a generator sweeps every point
+        pts = [(1.6, 1.0), (0.9, 0.0)]
+        want = ana.phase_sweep(1000, pts, trials=2, seed=1)
+        assert len(want) == 2
+        assert ana.phase_sweep(1000, iter(pts), trials=2, seed=1) == want
+        assert ana.phase_sweep(1000, (p for p in pts), trials=2, seed=1) == want
+
     def test_jobs_above_the_usable_cores_rejected(self, monkeypatch):
         # the check comes before the pool: a pool made here fails the test
         import concurrent.futures.thread

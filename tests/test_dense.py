@@ -658,6 +658,19 @@ class TestThreads:
         assert done == [1 - bad]
         assert not gbmlab_threads()
 
+    def test_a_nested_map_raises_on_a_worker(self, monkeypatch):
+        # a worker may map on one thread, as `_count_chunk` counts its pairs, but
+        # a map that would start threads from a worker raises
+        monkeypatch.setattr(dn, "THREADS", 2)
+
+        def nested(threads):
+            return lambda i0, i1: dn._map_chunks(lambda j0, j1: j1 - j0, [(i0, i1), (i1, i1 + 2)], threads)
+
+        assert dn._map_chunks(nested(1), [(0, 1), (1, 2)]) == [[1, 2], [1, 2]]
+        with pytest.raises(RuntimeError, match="from one of its own workers"):
+            dn._map_chunks(nested(None), [(0, 1), (1, 2)])
+        assert not gbmlab_threads()
+
     @staticmethod
     def cross_probes(make, threads):
         """Answers and queries of a run of overlapping `query_cross` blocks at `threads`."""

@@ -5,7 +5,8 @@ scipy.integrate already (pytest's warning filters name its
 IntegrationWarning).  The circle commands and the rag1 sweep must not
 load scipy.integrate, scipy.special, scipy.spatial, the process pool or
 the thread pool: each costs set-up time in every process and none of
-them is used there.  The sphere commands `gen` and `recover-hd` use no
+them is used there.  (The circle commands start threads only on inputs
+of about a megabyte or more, far above the graphs here.)  The sphere commands `gen` and `recover-hd` use no
 pool either, and a sweep on two jobs loads the thread pool and never the
 process pool.
 """

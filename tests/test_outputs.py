@@ -102,9 +102,13 @@ def test_outputs_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_outputs_are_byte_identical_at_each_thread_count(tmp_path, monkeypatch, threads):
-    # the dense commands answer and count their blocks on `dense.THREADS` threads
+    # the dense commands answer and count their blocks on `dense.THREADS` threads,
+    # and the circle commands count their edges, write their graph files in
+    # rounds of 1000-row chunks and read them in halves on as many
     skip_other_versions()
     monkeypatch.setattr(dense, "THREADS", threads)
+    monkeypatch.setattr(gr, "_WRITE_CHUNK", 1000)
+    monkeypatch.setattr(gr, "_READ_HALVES", 0)
     assert run_commands(tmp_path) == DIGESTS
 
 

@@ -1,6 +1,7 @@
 """Property tests of the graph core, the text writers, the sphere band primitive and dense
 query accounting."""
 
+import io
 import os
 import tempfile
 import tracemalloc
@@ -1007,6 +1008,69 @@ class TestTextWriters:
         assert text == "".join(f"{int(x)}\n" for x in labels)
         if values:
             assert back.dtype == np.int64 and back.tolist() == values
+
+    @SETTINGS
+    @given(st.sampled_from([np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64]),
+           st.integers(0, 12), st.sampled_from(["%d\n", "%d %d\n", "%d,%d\t"]), st.data(),
+           st.integers(1, 4))
+    def test_integer_rows(self, dtype, k, row_format, data, chunk):
+        # the digit path prints what `%` formatting prints, each dtype's extremes
+        # (-2^63 and 2^64 - 1 among them) and empty arrays included, on two threads
+        info = np.iinfo(dtype)
+        ints = st.one_of(st.sampled_from([info.min, info.max, 0, 9, 10]),
+                         st.integers(info.min, info.max))
+        c = row_format.count("%")
+        rows = np.array(data.draw(st.lists(ints, min_size=k * c, max_size=k * c)),
+                        dtype=dtype).reshape(k, c)
+        stream = io.StringIO()
+        with mock.patch.object(gr, "_WRITE_CHUNK", chunk), mock.patch.object(dn, "THREADS", 2):
+            gr._write_rows(stream, row_format, rows)
+        assert stream.getvalue() == (row_format * k) % tuple(rows.ravel().tolist())
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+    def test_int8_labels(self, chunk):
+        labels = np.array([-1, 0, 1, -1, 127, -128, 5], dtype=np.int8)
+        text, back = self.written(lambda p: gr.write_labels(p, labels), gr.read_labels, chunk)
+        assert text == "".join(f"{x}\n" for x in labels.tolist())
+        assert back.tolist() == labels.tolist()
+
+    @staticmethod
+    def read_body(body, m, halves):
+        """read_graph of a file with header `30 m 1` and `body`, its edge lines read in two
+        parts when `halves`, else in one."""
+        with tempfile.TemporaryDirectory() as d, \
+                mock.patch.object(gr, "_READ_HALVES", 0 if halves else 1 << 62), \
+                mock.patch.object(dn, "THREADS", 2):
+            path = os.path.join(d, "g.txt")
+            with open(path, "w", newline="") as fh:
+                fh.write(f"30 {m} 1\n" + body)
+            return gr.read_graph(path)[0]
+
+    @SETTINGS
+    @given(edge_lists(allow_repeats=False), st.sampled_from(["\n", "\r\n", "\n\n", " \t\n", "\t\r\n \n"]),
+           st.sampled_from(["", "\n", " \n\t\n\n\n\n\n\n\n\n\n\n\n\n"]), st.booleans())
+    def test_graph_read_in_halves(self, case, end, tail, last_end):
+        # blank lines, CRLF, tabs, no line end after the last edge and a blank
+        # second half all read as one np.fromstring of the whole body reads
+        n, u, v = case
+        lines = [f"{a}\t{b}" if i % 3 else f"{a} {b}" for i, (a, b) in enumerate(zip(u, v))]
+        body = end.join(lines) + (end if last_end else "") + tail
+        ends = np.fromstring(body, dtype=np.int64, sep=" ") if body.strip() else np.empty(0, np.int64)
+        want = from_edges(30, ends[0::2], ends[1::2])
+        for halves in (True, False):
+            g = self.read_body(body, len(u), halves)
+            assert np.array_equal(g.indptr, want.indptr) and np.array_equal(g.indices, want.indices)
+
+    @pytest.mark.parametrize("bad", [0, 5, 9])
+    @pytest.mark.parametrize("token", ["x", "2.5", "1e3", "0x1"])
+    def test_bad_token_in_either_half(self, bad, token):
+        # ten lines: the cut falls after line 5, so line 0 is in the first half
+        # and line 9 in the second
+        lines = [f"{i} {i + 1}" for i in range(10)]
+        lines[bad] = f"{bad} {token}"
+        for halves in (True, False):
+            with pytest.raises(ValueError, match=r"g.txt: edge lines hold a token that is not an integer$"):
+                self.read_body("\n".join(lines) + "\n", 10, halves)
 
     @SETTINGS
     @given(st.integers(1, 4), st.data(), st.integers(1, 4))

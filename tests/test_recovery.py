@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gbmlab import analysis as ana
+from gbmlab import dense as dn
 from gbmlab import generators as gen
 from gbmlab import recovery as rec
 from gbmlab import thresholds as th
@@ -77,6 +78,28 @@ class TestCommonNeighborCount:
         bulk = rec.bulk_common_neighbor_counts(g, us, vs)
         for i in range(0, g.m, max(1, g.m // 50)):
             assert bulk[i] == common_neighbor_count(g, int(us[i]), int(vs[i]))
+
+    @pytest.mark.parametrize("sphere", [False, True])
+    def test_bulk_same_at_each_thread_count(self, monkeypatch, sphere):
+        if sphere:
+            g = gen.gen_gbm_t(3000, 2, gen.radius_from_scale(12, 3000, 2),
+                              gen.radius_from_scale(3, 3000, 2), seed=8).graph
+        else:
+            g = gen.gen_gbm1(5000, 13 * math.log(5000) / 5000, math.log(5000) / 5000, seed=8).graph
+        rng = substream(81)
+        order = rng.permutation(g.m)
+        flip = rng.random(g.m) < 0.5
+        us = np.where(flip, g.edges[order, 1], g.edges[order, 0])
+        vs = np.where(flip, g.edges[order, 0], g.edges[order, 1])
+        step = (1 << 16) // g.layout[1].shape[1]
+        assert g.m > 6 * step
+        counts = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(dn, "THREADS", threads)
+            counts[threads] = rec.bulk_common_neighbor_counts(g, us, vs)
+        assert np.array_equal(counts[1], counts[2]) and np.array_equal(counts[1], counts[3])
+        for i in range(0, g.m, g.m // 40):
+            assert counts[1][i] == common_neighbor_count(g, int(us[i]), int(vs[i]))
 
     def test_no_quadratic_state(self):
         # a ring lattice of degree 20 at n = 1e5: full packed rows would be
