@@ -112,7 +112,8 @@ def _emit_csv(path: str, header: str, rows: np.ndarray, config: dict) -> None:
     with _output(path) as stream:
         stream.write(f"# schema={SCHEMA} version={__version__} params={json.dumps(config, default=_jsonable)}\n")
         stream.write(header + "\n")
-        graphio._write_rows(stream, ",".join(["%s"] * rows.shape[1]) + "\n", rows)
+        field = "%d" if rows.dtype.kind in "iu" else "%s"
+        graphio._write_rows(stream, ",".join([field] * rows.shape[1]) + "\n", rows)
 
 
 def _resolve_radii(args, n: int, t: int) -> tuple[float, float]:

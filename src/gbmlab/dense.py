@@ -20,20 +20,21 @@ rows of `Graph.packed_rows`), about h^2 / 8 bytes.  Both oracles fill
 it by one method, `EdgeOracle._block_answer`, answering each unordered
 pair once and mirroring it into those bits; the sphere oracle decides
 by `generators._gbm_edges` on column-major points read in place.
-The filter streams over the block in row chunks and holds one partition
-of the sample: a chunk's pairs above the diagonal that join two
-components are counted by `recovery._window_counts`, the package's one
-counting kernel, and the kept ones are merged.  No h x h boolean and no
-pair list exists; every other temporary is chunk-sized.
+The filter streams over the block in row chunks and holds a partition
+of the sample per thread: a chunk's pairs above the diagonal that join
+two components are counted by `recovery._window_counts`, the package's
+one counting kernel, and the kept ones are merged.  No h x h boolean and
+no pair list exists; every other temporary is chunk-sized.
 
 Both phases run on up to THREADS threads (the usable cores), through one
 helper, `_map_chunks`, which deals row chunks round-robin to them on a
 pool made for the call, so no thread outlives it.  It is the package's
 one helper for threads: `analysis.phase_sweep` runs its trials on it,
 `recovery._window_counts` its shares of pairs, and `graph` its integer
-text rows and the two halves of a graph file.  The filter counts a round of
-THREADS chunks against one snapshot of the partition and merges their
-kept pairs at once, which leaves the partition exact.  Phase 2's cross
+text rows and the two halves of a graph file.  The filter deals its
+chunks to THREADS shares in one map; each share filters its chunks in
+order on a partition of its own, and the caller joins the shares'
+partitions once, which leaves the result exact.  Phase 2's cross
 blocks are answered in row chunks that write disjoint rows of the
 answer, while the probe record is kept on the caller's thread.  Chunks
 hold 1 / THREADS of the serial chunk's cells, so the chunks in flight
@@ -48,7 +49,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -80,7 +80,7 @@ def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
     """[fn(i0, i1) for (i0, i1) in chunks] on min(threads, len(chunks)) threads, THREADS unless given.
 
     The package's one helper for threads.  Its callers: the oracle's
-    block answers and phase 1's counting rounds here, `analysis.phase_sweep`'s
+    block answers and phase 1's filter shares here, `analysis.phase_sweep`'s
     trials, `recovery._window_counts`' shares of pairs, and the integer
     rows of `graph._write_rows` and the two halves of `graph.read_graph`.
     Chunk k goes to thread k % threads (round-robin), so chunks that shrink
@@ -92,11 +92,11 @@ def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
     is made and the chunks run in order.
     `fn` must be safe to run on several chunks at once, must not call
     `_map_chunks` on more than one thread (a worker that does raises
-    RuntimeError; `_count_chunk` counts its pairs at threads = 1), and
-    must call no function that `bench/spans.py` wraps, since its recorder
-    keeps one stack of open spans.  So the oracle's chunks call its
-    `_rule`, never `_answer`, and a traced phase sweep (`_phase_trial` is
-    a span target) must run at jobs = 1.
+    RuntimeError; a `_subsample_counts` share counts its pairs at
+    threads = 1), and must call no function that `bench/spans.py` wraps,
+    since its recorder keeps one stack of open spans.  So the oracle's
+    chunks call its `_rule`, never `_answer`, and a traced phase sweep
+    (`_phase_trial` is a span target) must run at jobs = 1.
     """
     threads = min(THREADS if threads is None else threads, len(chunks))
     if threads < 2:
@@ -361,72 +361,62 @@ class DenseResult:
     balance_ok: Optional[bool] = None
 
 
-def _count_chunk(words: np.ndarray, comp: np.ndarray, e_s: float, e_d: Optional[float],
-                 i0: int, i1: int) -> tuple:
-    """Phase 1 on rows i0 to i1 - 1 of the packed block against the partition `comp`.
-
-    Returns the rows' degrees, the chunk's set bits per column, its pairs
-    above the diagonal, and the ends (uu, vv) of those pairs that join two
-    components of `comp` and that `_keep` keeps.
-    """
-    h = len(words)
-    degrees = np.bitwise_count(words[i0:i1]).sum(axis=1)
-    bits = np.unpackbits(words[i0:i1].view(np.uint8), axis=1, count=h)
-    columns = np.add.reduce(bits, axis=0, dtype=np.int32)
-    # row r of the chunk against the columns from i0 on; above the diagonal where c > r
-    r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
-    del bits
-    above = c > r
-    uu, vv = r[above] + i0, c[above] + i0
-    upper = len(uu)
-    apart = comp[uu] != comp[vv]
-    uu, vv = uu[apart], vv[apart]
-    # this chunk already runs on a thread of its own, so its kernel runs on one
-    keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv, 1), e_s, e_d)
-    return degrees, columns, upper, uu[keep], vv[keep]
-
-
 def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np.ndarray:
     """Component id per sample vertex (smallest member) over the induced edges the filter keeps.
 
     `words` is the packed block of `query_block_bits`, read in row chunks
-    of about 2^20 / THREADS cells (`_COUNT_CELLS`) with one partition
-    `comp` carried across them.  A pair whose ends already share a
-    component cannot change it, so each chunk counts only its other pairs
-    above the diagonal (`_window_counts` on the full rows, every start 0)
-    and keeps them by `_keep` (`_count_chunk`).  The chunks go in rounds
-    of THREADS, run by `_map_chunks` against one snapshot of `comp`, and
-    the kept pairs of a round are merged into `comp` at once.  A pair counted after its ends
-    were joined in the same round changes nothing, so by induction over
-    the rounds the result is `_components` of every kept induced edge,
-    whatever the thread count; only the number of pairs counted moves.
+    of about 2^20 / THREADS cells (`_COUNT_CELLS`).  One `_map_chunks`
+    call deals them to THREADS shares, share k taking chunks k,
+    k + THREADS, ... in order, on a partition `comp` of its own.  A pair
+    whose ends already share a component cannot change it, so for each
+    chunk a share counts only its other pairs above the diagonal
+    (`_window_counts` on the full rows, every start 0), keeps them by
+    `_keep` and merges the kept ones before its next chunk.  A share
+    joins only kept pairs and skips only pairs it has joined, so the
+    components of the pairs (i, comp[i]) over all shares are those of
+    every kept induced edge, whatever the thread count; only the number
+    of pairs counted moves.  At one thread this is the serial loop.
     No pair list is stored.  ValueError when the upper triangle does not
     hold half the set bits or a column count differs from its row's: two
     symmetry checks that no block with a zero diagonal and zero bits past
     column h - 1 fails.
     """
     h = len(words)
-    degrees = np.empty(h, dtype=np.int64)
-    columns = np.zeros(h, dtype=np.int64)
-    upper = 0
-    comp = np.arange(h, dtype=np.int64)
     chunks = _chunks(h, _chunk_rows(h, _COUNT_CELLS // THREADS))
-    for k in range(0, len(chunks), THREADS):
-        part = chunks[k:k + THREADS]
-        done = _map_chunks(partial(_count_chunk, words, comp, e_s, e_d), part)
-        for (i0, i1), (deg, col, up, _, _) in zip(part, done):
-            degrees[i0:i1] = deg
-            columns += col
-            upper += up
-        uu = np.concatenate([d[3] for d in done])
-        vv = np.concatenate([d[4] for d in done])
-        if len(uu):
-            # each id is its component's smallest member, so merging the ids of the
-            # kept pairs' ends gives each old component the smallest id of its new one
-            comp = _components(h, *_pair_rows(h, comp[uu], comp[vv]))[1][comp]
-    if 2 * upper != degrees.sum() or not np.array_equal(columns, degrees):
+    shares = max(1, min(THREADS, len(chunks)))
+
+    def share(k, _):
+        degrees = np.zeros(h, dtype=np.int64)
+        columns = np.zeros(h, dtype=np.int64)
+        upper = 0
+        comp = np.arange(h, dtype=np.int64)
+        for i0, i1 in chunks[k::shares]:
+            degrees[i0:i1] = np.bitwise_count(words[i0:i1]).sum(axis=1)
+            bits = np.unpackbits(words[i0:i1].view(np.uint8), axis=1, count=h)
+            columns += np.add.reduce(bits, axis=0, dtype=np.int32)
+            # row r of the chunk against the columns from i0 on; above the diagonal where c > r
+            r, c = np.divmod(np.flatnonzero(bits[:, i0:].view(bool)), h - i0)
+            del bits
+            above = c > r
+            uu, vv = r[above] + i0, c[above] + i0
+            upper += len(uu)
+            apart = comp[uu] != comp[vv]
+            uu, vv = uu[apart], vv[apart]
+            # this share already runs on a thread of its own, so its kernel runs on one
+            keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv, 1), e_s, e_d)
+            if keep.any():
+                # each id is its component's smallest member, so merging the ids of the
+                # kept pairs' ends gives each old component the smallest id of its new one
+                comp = _components(h, *_pair_rows(h, comp[uu[keep]], comp[vv[keep]]))[1][comp]
+        return degrees, columns, upper, comp
+
+    degrees, columns, upper, comps = zip(*_map_chunks(share, [(k, k + 1) for k in range(shares)]))
+    degrees = sum(degrees)
+    if 2 * sum(upper) != degrees.sum() or not np.array_equal(sum(columns), degrees):
         raise ValueError("adjacency block is not symmetric with a zero diagonal")
-    return comp
+    # row i of the join holds vertex i's component id in each share
+    comps = np.stack(comps, axis=1)
+    return _components(h, np.arange(0, comps.size + 1, shares), comps.ravel())[1]
 
 
 def dense_recover(oracle: EdgeOracle, n: int, t: int, r_s: float, r_d: float,

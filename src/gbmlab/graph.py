@@ -386,6 +386,10 @@ def write_labels(path: str, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str) -> np.ndarray:
+    """The labels of write_labels' format; ValueError when a line holds more than one value."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, dtype=np.int64, ndmin=1)
+        out = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    if out.shape[1] != 1:
+        raise ValueError(f"{path}: expected one label per line")
+    return out[:, 0]

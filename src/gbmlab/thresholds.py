@@ -182,6 +182,13 @@ class ThresholdSet1D:
         return asdict(self)
 
 
+def _window_solve(a: float, b: float, target: float) -> tuple[float, Optional[float], float, float]:
+    """(f1, f2, theta1, theta2) at (a, b) for the divergence target."""
+    f1 = solve_f1(b, target)
+    f2 = solve_f2(b, target)
+    return f1, f2, solve_theta1(a, b, f1, target), solve_theta2(a, b, f2, target)
+
+
 def thresholds_1d(n: int, a: float, b: float, divergence_target: float = 1.0) -> ThresholdSet1D:
     """Assemble the full 1-D threshold set.
 
@@ -194,10 +201,7 @@ def thresholds_1d(n: int, a: float, b: float, divergence_target: float = 1.0) ->
     if a < 2 * b:
         raise RegimeError(f"filter thresholds require a >= 2b, got a={a}, b={b}")
     ln_n = math.log(n)
-    f1 = solve_f1(b, divergence_target)
-    f2 = solve_f2(b, divergence_target)
-    theta1 = solve_theta1(a, b, f1, divergence_target)
-    theta2 = solve_theta2(a, b, f2, divergence_target)
+    f1, f2, theta1, theta2 = _window_solve(a, b, divergence_target)
     e_s = (2 * b + f1) * ln_n / n
     e_d = (2 * b - f2) * ln_n / n if f2 is not None else None
     return ThresholdSet1D(n=n, a=a, b=b, f1=f1, f2=f2, theta1=theta1, theta2=theta2,
@@ -209,10 +213,7 @@ def recovery_condition(a: float, b: float, target: float = 1.0) -> bool:
 
     True iff a - theta2 + theta1 > 2, or a > 2 and a - theta2 > 1.
     """
-    f1 = solve_f1(b, target)
-    f2 = solve_f2(b, target)
-    t1 = solve_theta1(a, b, f1, target)
-    t2 = solve_theta2(a, b, f2, target)
+    _, _, t1, t2 = _window_solve(a, b, target)
     return (a - t2 + t1 > 2.0) or (a > 2.0 and a - t2 > 1.0)
 
 

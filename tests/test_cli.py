@@ -352,6 +352,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: embedding of vertex {vertex} is not finite: {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", ["0 1 1 0\n", "0 1\n1 0\n0 0\n1 1\n"])
+    @pytest.mark.parametrize("side", ["--pred", "--truth"])
+    def test_labels_one_per_line(self, tmp_path, capsys, body, side):
+        # a row of four labels, or two columns, against four lines of labels
+        four, bad = tmp_path / "four.txt", tmp_path / "bad.txt"
+        four.write_text("0\n1\n1\n0\n")
+        bad.write_text(body)
+        files = {"--pred": str(four), "--truth": str(four), side: str(bad)}
+        out = tmp_path / "e.json"
+        assert run_cli("eval", "--pred", files["--pred"], "--truth", files["--truth"],
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {bad}: expected one label per line\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("embeddings, radii, message", [
         ("0.1\n0.2\n0.3\n0.4\n", ("--rs", "0.2", "--rd", "0.6"),
          "need 0 <= r_d <= r_s <= 1/2, got r_s=0.2, r_d=0.6"),
@@ -542,7 +556,8 @@ def input_files(tmp_path_factory):
               "negative.graph.txt": "-5 0 1\n", "empty.graph.txt": "0 0 1\n",
               "single.graph.txt": "1 0 1\n", "t0.graph.txt": "3 1 0\n0 1\n",
               "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
-              "short.txt": "0\n1\n-1\n", "token.embeddings.txt": "0.1\nx\n",
+              "short.txt": "0\n1\n-1\n", "row.txt": "0 1 1 0\n", "columns.txt": "0 1\n1 0\n",
+              "token.embeddings.txt": "0.1\nx\n",
               "nonfinite.embeddings.txt": "0.1\nnan\n0.3\ninf\n",
               "nonfinite_neg.embeddings.txt": "-inf\n0.2\n0.3\n0.4\n",
               "nonfinite60.embeddings.txt": "0.5\n" * 59 + "nan\n",
@@ -571,7 +586,7 @@ def recover_argvs(draw, files):
 def eval_argvs(draw, files):
     """`eval` on two drawn label files."""
     labels = ["g.truth.txt", "pred.txt", "s.truth.txt", "empty.txt", "token.txt",
-              "float.txt", "short.txt", "missing"]
+              "float.txt", "short.txt", "row.txt", "columns.txt", "missing"]
     return ["eval", "--pred", files[draw(st.sampled_from(labels))],
             "--truth", files[draw(st.sampled_from(labels))]]
 

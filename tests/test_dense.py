@@ -608,7 +608,8 @@ class TestThreads:
     @given(symmetric_blocks(st.integers(0, 200)), st.sampled_from([2, 3]))
     def test_partition(self, drawn, threads):
         # at 2^11 cells a block of h rows goes in chunks of 2^11 / (threads h)
-        # rows: several rounds from h = 12 on
+        # rows: a share filters two chunks or more from h = 46 on, and every
+        # share does from h = 57 on
         adj, e_s, e_d = drawn
         words = packed(adj)
         with pytest.MonkeyPatch.context() as mp:
@@ -617,8 +618,26 @@ class TestThreads:
             assert np.array_equal(at_threads(threads, dn._subsample_counts, words, e_s, e_d), one)
         assert np.array_equal(one, kept_partition(adj, e_s, e_d))
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_map_per_block(self, monkeypatch, threads):
+        # at 2^11 cells the 200-row block goes in 40 chunks of 5 rows at two
+        # threads and 67 of 3 at three; the kernel's one-thread maps inside
+        # each share are not counted
+        monkeypatch.setattr(dn, "_COUNT_CELLS", 1 << 11)
+        maps = []
+        map_chunks = dn._map_chunks
+        monkeypatch.setattr(dn, "_map_chunks", lambda fn, chunks, *a: maps.append((len(chunks), *a))
+                            or map_chunks(fn, chunks, *a))
+        upper = np.triu(substream(47).random((200, 200)) < 0.1, 1)
+        adj = upper | upper.T
+        comp = at_threads(threads, dn._subsample_counts, packed(adj), 2.0, None)
+        assert [m for m in maps if m[1:] != (1,)] == [(threads,)]
+        assert np.array_equal(comp, kept_partition(adj, 2.0, None))
+
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        # each call makes its own pool and returns only once its workers are gone
+        # each call makes its own pool and returns only once its workers are gone:
+        # at h = 1061 one for the block answer, one for phase 1 and one per
+        # 1 024-row phase-2 block
         made = []
 
         class Pool(concurrent.futures.thread.ThreadPoolExecutor):
@@ -631,9 +650,10 @@ class TestThreads:
         monkeypatch.setattr(ana, "usable_cores", lambda: 2)
         n, t, r_s, r_d = 1500, 2, 0.8, 0.4
         emb, labels = make_instance(n, t, r_s, r_d, seed=43)
-        res = dn.dense_recover(dn.GbmEdgeOracle(emb, labels, r_s, r_d), n, t, r_s, r_d,
-                               th.dense_plan(n, t, r_s, r_d), 19)
-        assert res.status == "ok" and made
+        plan = th.dense_plan(n, t, r_s, r_d)
+        res = dn.dense_recover(dn.GbmEdgeOracle(emb, labels, r_s, r_d), n, t, r_s, r_d, plan, 19)
+        assert res.status == "ok"
+        assert len(made) == 2 + -(-(n - plan.h) // 1024)
         assert not gbmlab_threads()
         pools = len(made)
         ana.phase_sweep(1200, [(1.5, 0.9)], trials=4, seed=2, jobs=2)
@@ -659,8 +679,8 @@ class TestThreads:
         assert not gbmlab_threads()
 
     def test_a_nested_map_raises_on_a_worker(self, monkeypatch):
-        # a worker may map on one thread, as `_count_chunk` counts its pairs, but
-        # a map that would start threads from a worker raises
+        # a worker may map on one thread, as a `_subsample_counts` share counts
+        # its pairs, but a map that would start threads from a worker raises
         monkeypatch.setattr(dn, "THREADS", 2)
 
         def nested(threads):
@@ -745,8 +765,8 @@ class TestThreads:
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
     def test_trial(self):
-        # h = 2122: phase 1 counts 5 chunks on one thread and 9 (5 rounds) on
-        # two, and answers 9 chunks on two
+        # h = 2122: phase 1 counts 5 chunks on one thread and 9 (two shares in
+        # one map) on two, and answers 9 chunks on two
         n, t, r_s, r_d = 3000, 2, 0.8, 0.4
         plan = th.dense_plan(n, t, r_s, r_d)
         emb, labels = make_instance(n, t, r_s, r_d, seed=43)

@@ -8,7 +8,10 @@ the thread pool: each costs set-up time in every process and none of
 them is used there.  (The circle commands start threads only on inputs
 of about a megabyte or more, far above the graphs here.)  The sphere commands `gen` and `recover-hd` use no
 pool either, and a sweep on two jobs loads the thread pool and never the
-process pool.
+process pool.  `dense` never loads the process pool; its plan's cap
+areas load scipy.integrate, which loads scipy.spatial and scipy.special
+with it (`python3 -c "import scipy.integrate, sys; print('scipy.spatial'
+in sys.modules)"` prints True).
 """
 
 import json
@@ -78,3 +81,11 @@ def test_parallel_sweep_loads_the_thread_pool_only(tmp_path):
     res = run_fresh([["phase", "--n", "500", "--points", "1.6:1.0", "--family", "rag1",
                       "--trials", "4", "--jobs", "2", "--out", str(tmp_path / "ph.csv")]])
     assert res == {"codes": [0], "loaded": ["concurrent.futures.thread"]}
+
+
+def test_dense_loads_no_process_pool(tmp_path):
+    res = run_fresh([["dense", "--n", "1500", "--t", "2", "--rs", "0.6", "--rd", "0.4",
+                      "--seed", "19", "--out", str(tmp_path / "d.json")]])
+    assert res["codes"] == [0]
+    assert "scipy.integrate" in res["loaded"]
+    assert "concurrent.futures.process" not in res["loaded"]
