@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .dense import _map_chunks, usable_cores
+from . import dense
 from .generators import (IntervalSet, _circle_band_pairs, _circle_band_ranges, _seeded,
                          _sphere_pairs_within, rag_t_edges_only, radius_from_scale)
 from .geometry import annulus_fraction, psi, sample_circle
@@ -256,7 +256,7 @@ def _grid_trials(trial, points, trials: int, seed: int, jobs: int) -> list[list]
     """
     tasks = [(float(a), float(b), (seed, gi, ti))
              for gi, (a, b) in enumerate(points) for ti in range(trials)]
-    results = _map_chunks(lambda i, _: trial(*tasks[i]), [(i, i + 1) for i in range(len(tasks))], jobs)
+    results = dense._map_chunks(lambda i, _: trial(*tasks[i]), [(i, i + 1) for i in range(len(tasks))], jobs)
     return [results[i:i + trials] for i in range(0, len(results), trials)]
 
 
@@ -274,9 +274,9 @@ def phase_sweep(n: int, points, trials: int, seed: int,
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > usable_cores():
+    if jobs > dense.THREADS:
         # a thread past the cores gains nothing, and each holds one trial's arrays
-        raise ValueError(f"jobs must be at most the {usable_cores()} usable cores, got {jobs}")
+        raise ValueError(f"jobs must be at most the {dense.THREADS} usable cores, got {jobs}")
     results = _grid_trials(partial(_phase_trial, family, n, c, t), points, trials, seed, jobs)
     return [PhasePoint(float(a), float(b), trials, *(sum(f) / trials for f in zip(*rs)))
             for (a, b), rs in zip(points, results)]

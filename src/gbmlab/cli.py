@@ -75,9 +75,8 @@ _positive, _seed = _at_least(1), _at_least(0)
 def _jobs(text: str) -> int:
     """argparse type: a worker count from 1 to the usable cores."""
     k = _positive(text)
-    cores = dense.usable_cores()
-    if k > cores:
-        raise argparse.ArgumentTypeError(f"expected at most {cores} (the usable cores), got {text!r}")
+    if k > dense.THREADS:
+        raise argparse.ArgumentTypeError(f"expected at most {dense.THREADS} (the usable cores), got {text!r}")
     return k
 
 

@@ -31,16 +31,17 @@ helper, `_map_chunks`, which deals row chunks round-robin to them on a
 pool made for the call, so no thread outlives it.  It is the package's
 one helper for threads: `analysis.phase_sweep` runs its trials on it,
 `recovery._window_counts` its shares of pairs, and `graph` its integer
-text rows and the two halves of a graph file.  The filter deals its
+text rows and the two halves of a graph file.  A map called inside a
+threaded map runs in order on its own thread.  The filter deals its
 chunks to THREADS shares in one map; each share filters its chunks in
 order on a partition of its own, and the caller joins the shares'
-partitions once, which leaves the result exact.  Phase 2's cross
-blocks are answered in row chunks that write disjoint rows of the
-answer, while the probe record is kept on the caller's thread.  Chunks
-hold 1 / THREADS of the serial chunk's cells, so the chunks in flight
-hold what one serial chunk does.  Every chunk answers through its
-oracle's `_rule`, a function that is safe to run on several threads at
-once and that no `bench/spans.py` target wraps.
+partitions once, which leaves the result exact.  Phase 2's cross blocks
+are answered in row chunks that write disjoint rows of the answer,
+while the probe record is kept on the caller's thread.  Chunks hold
+1 / THREADS of the serial chunk's cells, so the chunks in flight hold
+what one serial chunk does.  Every chunk answers through its oracle's
+`_rule`, a function that is safe to run on several threads at once and
+that no `bench/spans.py` target wraps.
 """
 
 from __future__ import annotations
@@ -65,15 +66,10 @@ from .thresholds import DensePlan
 _CHUNK_CELLS = 1 << 19
 #: phase 1 unpacks and counts its block in row chunks of about this many cells
 _COUNT_CELLS = 1 << 20
-
-
-def usable_cores() -> int:
-    """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
-#: threads of `_map_chunks`, at most; tests set it to compare thread counts
-THREADS = usable_cores()
+#: threads of `_map_chunks`, at most: the usable cores; tests set it to compare thread counts
+THREADS = len(os.sched_getaffinity(0))
+#: `nested` is set on a thread while it runs the chunks of a threaded `_map_chunks` call
+_MAPPING = threading.local()
 
 
 def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
@@ -89,24 +85,27 @@ def _map_chunks(fn, chunks: list, threads: Optional[int] = None) -> list:
     rest; the call returns or raises only once every worker has finished,
     so no thread outlives it.  One more arena of freed memory per worker
     is what the threads cost in resident memory.  With one thread no pool
-    is made and the chunks run in order.
-    `fn` must be safe to run on several chunks at once, must not call
-    `_map_chunks` on more than one thread (a worker that does raises
-    RuntimeError; a `_subsample_counts` share counts its pairs at
-    threads = 1), and must call no function that `bench/spans.py` wraps,
-    since its recorder keeps one stack of open spans.  So the oracle's
-    chunks call its `_rule`, never `_answer`, and a traced phase sweep
-    (`_phase_trial` is a span target) must run at jobs = 1.
+    is made and the chunks run in order.  A call made from the chunks of
+    a threaded call, on the caller's share or a worker, runs its chunks
+    in order on that thread with no pool; under a map on one thread (a
+    jobs = 1 sweep) it runs on THREADS threads.
+    `fn` must be safe to run on several chunks at once and must call no
+    function that `bench/spans.py` wraps, since its recorder keeps one
+    stack of open spans.  So the oracle's chunks call its `_rule`, never
+    `_answer`, and a traced phase sweep (`_phase_trial` is a span target)
+    must run at jobs = 1.
     """
     threads = min(THREADS if threads is None else threads, len(chunks))
-    if threads < 2:
+    if threads < 2 or getattr(_MAPPING, "nested", False):
         return [fn(*c) for c in chunks]
-    if threading.current_thread().name.startswith("gbmlab"):
-        raise RuntimeError("_map_chunks called on more than one thread from one of its own workers")
     from concurrent.futures.thread import ThreadPoolExecutor
 
     def run(share):
-        return [fn(*c) for c in share]
+        _MAPPING.nested = True
+        try:
+            return [fn(*c) for c in share]
+        finally:
+            _MAPPING.nested = False
 
     out = [None] * len(chunks)
     with ThreadPoolExecutor(threads - 1, thread_name_prefix="gbmlab") as pool:
@@ -402,8 +401,7 @@ def _subsample_counts(words: np.ndarray, e_s: float, e_d: Optional[float]) -> np
             upper += len(uu)
             apart = comp[uu] != comp[vv]
             uu, vv = uu[apart], vv[apart]
-            # this share already runs on a thread of its own, so its kernel runs on one
-            keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv, 1), e_s, e_d)
+            keep = _keep(_window_counts(words, np.zeros(h, dtype=np.int64), uu, vv), e_s, e_d)
             if keep.any():
                 # each id is its component's smallest member, so merging the ids of the
                 # kept pairs' ends gives each old component the smallest id of its new one

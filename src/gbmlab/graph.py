@@ -315,17 +315,24 @@ def write_graph(path: str, graph: Graph, t: int = 1) -> None:
         _write_rows(fh, "%d %d\n", graph.edges)
 
 
+def _integers(path: str, text: bytes, what: str) -> np.ndarray:
+    """A non-blank text's integers by `np.fromstring`, off the GIL; a bad token's ValueError names the file."""
+    try:
+        return np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:
+        raise ValueError(f"{path}: {what} hold a token that is not an integer") from None
+
+
 def read_graph(path: str) -> tuple[Graph, int]:
     """Read the format written by write_graph; returns (graph, t).
 
     The edge lines are read in two parts, cut at the first LF after their
     middle byte, when they hold at least `_READ_HALVES` bytes and the file
-    can seek, and else in one.  Each part that is not blank is parsed as
-    one run of whitespace-separated integers by `np.fromstring`, which
-    lets go of the interpreter lock, on `dense._map_chunks`.  Raises
-    ValueError on a malformed header (three integers n >= 0, m >= 0 and
-    t >= 1 expected), a token that is not an integer, an odd number of
-    endpoints or an edge count other than m.
+    can seek, and else in one.  Each part that is not blank is parsed by
+    `_integers` on `dense._map_chunks`.  Raises ValueError on a malformed
+    header (three integers n >= 0, m >= 0 and t >= 1 expected), a token
+    that is not an integer, an odd number of endpoints or an edge count
+    other than m.
     """
     from .dense import _map_chunks
     with open(path, "rb") as fh:
@@ -348,14 +355,8 @@ def read_graph(path: str) -> tuple[Graph, int]:
         raise ValueError(f"{path}: malformed header")
     # np.fromstring reads a blank string as [0]
     parts = [p for p in parts if p and not p.isspace()]
-
-    def parse(k, _):
-        try:
-            return np.fromstring(parts[k], dtype=np.int64, sep=" ")
-        except ValueError:
-            raise ValueError(f"{path}: edge lines hold a token that is not an integer") from None
-
-    ends = _map_chunks(parse, [(k, k + 1) for k in range(len(parts))])
+    ends = _map_chunks(lambda k, _: _integers(path, parts[k], "edge lines"),
+                       [(k, k + 1) for k in range(len(parts))])
     del parts
     ends = np.concatenate(ends) if ends else np.empty(0, np.int64)
     if len(ends) % 2:
@@ -373,9 +374,12 @@ def write_embeddings(path: str, embeddings: np.ndarray) -> None:
 
 
 def read_embeddings(path: str) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            out = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out[:, 0] if out.shape[1] == 1 else out
 
 
@@ -386,10 +390,9 @@ def write_labels(path: str, labels: np.ndarray) -> None:
 
 
 def read_labels(path: str) -> np.ndarray:
-    """The labels of write_labels' format; ValueError when a line holds more than one value."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        out = np.loadtxt(path, dtype=np.int64, ndmin=2)
-    if out.shape[1] != 1:
+    """write_labels' format; ValueError naming the file unless each non-blank line holds one integer."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if re.search(rb"\S[ \t\v\f]+\S", text):
         raise ValueError(f"{path}: expected one label per line")
-    return out[:, 0]
+    return _integers(path, text.strip(), "labels")

@@ -84,7 +84,7 @@ def connected_components(n: int, edges) -> np.ndarray:
 
 
 def _window_counts(rows: np.ndarray, starts: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray, threads: Optional[int] = None) -> np.ndarray:
+                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """popcount(row lo & row hi) for bit-packed rows held in windows of W words.
 
     The one common-neighbor kernel.  `rows` is (n, W): row i's window,
@@ -96,9 +96,9 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
     the first read from a sliding-window view.  With every start 0 (full
     rows, as in dense phase 1) both rows are gathered directly, with no
     view and no copy.  Pairs go in steps of about 2^16 words, over up to
-    `threads` contiguous shares of the pairs (`dense.THREADS` unless
-    given) on `dense._map_chunks`; every share reads the one padded copy
-    and writes its own slice of the counts.
+    `dense.THREADS` contiguous shares of the pairs on `dense._map_chunks`
+    (in order, inside a threaded map); every share reads the one padded
+    copy and writes its own slice of the counts.
     """
     from .dense import THREADS, _map_chunks
     w = rows.shape[1]
@@ -118,8 +118,8 @@ def _window_counts(rows: np.ndarray, starts: np.ndarray,
             counts[i0:i1] = np.bitwise_count(left & rows[b]).astype(np.float32) @ ones
 
     # a share of at least one step each
-    k = max(1, min(THREADS if threads is None else threads, len(lo) // step))
-    _map_chunks(share, [(len(lo) * j // k, len(lo) * (j + 1) // k) for j in range(k)], threads)
+    k = max(1, min(THREADS, len(lo) // step))
+    _map_chunks(share, [(len(lo) * j // k, len(lo) * (j + 1) // k) for j in range(k)])
     return counts
 
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from gbmlab import analysis as ana
 from gbmlab import dense as dn
 from gbmlab import generators as gen
+from gbmlab import graph as gr
+from gbmlab import recovery as rec
 from gbmlab.geometry import psi
 from gbmlab.graph import from_edges, empty_graph
 from gbmlab.rng import substream
@@ -312,8 +314,7 @@ class TestPhaseSweep:
 
         monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor",
                             lambda *a, **k: pytest.fail("a thread pool was made"))
-        monkeypatch.setattr(dn, "THREADS", 3)
-        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
+        monkeypatch.setattr(dn, "THREADS", 2)
         for jobs in (3, 100_000):
             with pytest.raises(ValueError, match=f"at most the 2 usable cores, got {jobs}"):
                 ana.phase_sweep(1200, [(1.5, 0.9)], trials=2, seed=2, jobs=jobs)
@@ -325,7 +326,6 @@ class TestPhaseSweep:
 
     def test_parallel_jobs_same_output(self, monkeypatch):
         # two threads run on one core too; the bound is tested above
-        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
         monkeypatch.setattr(dn, "THREADS", 2)
         ran_on = set()
         trial = ana._phase_trial
@@ -337,6 +337,33 @@ class TestPhaseSweep:
         par = ana.phase_sweep(1200, pts, trials=6, seed=2, jobs=2)
         assert seq == par
         assert any(name.startswith("gbmlab") for name in ran_on)
+        assert not gbmlab_threads()
+
+    def test_trials_that_count_write_and_read(self, monkeypatch, tmp_path):
+        # each stage of a trial maps: the n = 2000 circle graph has about 1e5
+        # edges, so it is written in chunks of 1 000 rows, read in two halves
+        # and counted in two shares; at jobs 2 those maps run on the trial's
+        # thread, and the sweep's pool is the only one made
+        from test_dense import counted_pools
+        made = counted_pools(monkeypatch)
+        monkeypatch.setattr(gr, "_WRITE_CHUNK", 1000)
+        monkeypatch.setattr(gr, "_READ_HALVES", 0)
+        monkeypatch.setattr(dn, "THREADS", 2)
+        n = 2000
+
+        def trial(a, b, seed):
+            inst = gen.gen_gbm1(n, gen.radius_from_scale(a, n), gen.radius_from_scale(b, n), seed)
+            path = str(tmp_path / f"{seed[1]}-{seed[2]}.graph.txt")
+            gr.write_graph(path, inst.graph)
+            graph, _ = gr.read_graph(path)
+            return graph.m, rec.recover_gbm1(graph, a, b).labels.tobytes()
+
+        pts = [(13.0, 1.0), (9.0, 2.0)]
+        seq = ana._grid_trials(trial, pts, 2, 5, 1)
+        assert len(made) > 4 and min(m for rs in seq for m, _ in rs) > 60_000
+        del made[:]
+        assert ana._grid_trials(trial, pts, 2, 5, 2) == seq
+        assert len(made) == 1
         assert not gbmlab_threads()
 
     @pytest.mark.parametrize("jobs", [1, 2])

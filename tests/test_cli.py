@@ -269,7 +269,7 @@ class TestExitCodes:
     def test_phase_jobs_above_the_usable_cores_fail_at_parse_time(self, monkeypatch, capsys,
                                                                   cores, value):
         # the sweep is replaced, so no worker thread can start whatever --jobs says
-        monkeypatch.setattr(cli.dense, "usable_cores", lambda: cores)
+        monkeypatch.setattr(cli.dense, "THREADS", cores)
         monkeypatch.setattr(cli.analysis, "phase_sweep", lambda *a, **k: pytest.fail("ran"))
         assert run_cli("phase", "--n", "100", "--points", "1.6:1.0", "--jobs", value) == 1
         err = capsys.readouterr().err
@@ -277,7 +277,7 @@ class TestExitCodes:
                        f"(the usable cores), got '{value}'\n")
 
     def test_phase_jobs_up_to_the_usable_cores_reach_the_sweep(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli.dense, "usable_cores", lambda: 3)
+        monkeypatch.setattr(cli.dense, "THREADS", 3)
         seen = []
         point = cli.analysis.PhasePoint(a=1.6, b=1.0, trials=1, connected_frac=1.0,
                                         isolated_frac=0.0, mean_components=1.0)
@@ -352,10 +352,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: embedding of vertex {vertex} is not finite: {value}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("body", ["0 1 1 0\n", "0 1\n1 0\n0 0\n1 1\n"])
+    @pytest.mark.parametrize("body, message", [
+        ("0,1\n0.3\n0.4,0.5\n0.6,0.7\n", "the number of columns changed from 2 to 1 at row 2"),
+        ("0.1\nx\n0.3\n0.4\n", "could not convert string 'x' to float64 at row 1, column 1"),
+    ])
+    def test_embeddings_errors_name_the_file(self, tmp_path, capsys, body, message):
+        (tmp_path / "g.graph.txt").write_text("4 0 1\n")
+        emb = tmp_path / "e.txt"
+        emb.write_text(body)
+        assert run_cli("recover-loc", "--in", str(tmp_path / "g.graph.txt"), "--embeddings", str(emb),
+                       "--rs", "0.6", "--rd", "0.2", "--out", str(tmp_path / "loc.json")) == 1
+        assert capsys.readouterr().err.startswith(f"error: {emb}: {message}")
+
+    @pytest.mark.parametrize("body", ["0 1 1 0\n", "0 1\n1 0\n0 0\n1 1\n", "0\n1 1\n", "0\n1\t1\n",
+                                      "0\nx\n", "0\n1.5\n"])
     @pytest.mark.parametrize("side", ["--pred", "--truth"])
     def test_labels_one_per_line(self, tmp_path, capsys, body, side):
-        # a row of four labels, or two columns, against four lines of labels
+        # a row of four labels, two columns, a ragged line or a token that is
+        # not an integer, against four lines of labels; the message names the file
+        two = any(len(line.split()) > 1 for line in body.splitlines())
+        message = "expected one label per line" if two else "labels hold a token that is not an integer"
         four, bad = tmp_path / "four.txt", tmp_path / "bad.txt"
         four.write_text("0\n1\n1\n0\n")
         bad.write_text(body)
@@ -363,7 +379,7 @@ class TestExitCodes:
         out = tmp_path / "e.json"
         assert run_cli("eval", "--pred", files["--pred"], "--truth", files["--truth"],
                        "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: {bad}: expected one label per line\n"
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("embeddings, radii, message", [
@@ -447,7 +463,8 @@ def phase_argvs(draw):
             "--points", ",".join(draw(st.lists(points(), min_size=1, max_size=3))),
             "--family", draw(st.sampled_from(["rag1", "rag_t", "interval_union"])),
             "--t", str(draw(st.integers(1, 3))), "--c", draw(NUMBERS),
-            "--trials", str(draw(st.integers(1, 3))), "--jobs", "1",
+            "--trials", str(draw(st.integers(1, 3))),
+            "--jobs", str(draw(st.integers(1, cli.dense.THREADS))),
             "--format", draw(st.sampled_from(["csv", "json"]))]
 
 
@@ -557,6 +574,7 @@ def input_files(tmp_path_factory):
               "single.graph.txt": "1 0 1\n", "t0.graph.txt": "3 1 0\n0 1\n",
               "empty.txt": "", "token.txt": "0\nx\n", "float.txt": "0\n1.5\n",
               "short.txt": "0\n1\n-1\n", "row.txt": "0 1 1 0\n", "columns.txt": "0 1\n1 0\n",
+              "ragged.txt": "0\n1 1\n",
               "token.embeddings.txt": "0.1\nx\n",
               "nonfinite.embeddings.txt": "0.1\nnan\n0.3\ninf\n",
               "nonfinite_neg.embeddings.txt": "-inf\n0.2\n0.3\n0.4\n",
@@ -586,7 +604,7 @@ def recover_argvs(draw, files):
 def eval_argvs(draw, files):
     """`eval` on two drawn label files."""
     labels = ["g.truth.txt", "pred.txt", "s.truth.txt", "empty.txt", "token.txt",
-              "float.txt", "short.txt", "row.txt", "columns.txt", "missing"]
+              "float.txt", "short.txt", "row.txt", "columns.txt", "ragged.txt", "missing"]
     return ["eval", "--pred", files[draw(st.sampled_from(labels))],
             "--truth", files[draw(st.sampled_from(labels))]]
 

@@ -556,6 +556,19 @@ def gbmlab_threads():
     return [t for t in threading.enumerate() if t.name.startswith("gbmlab")]
 
 
+def counted_pools(monkeypatch):
+    """A list that each thread pool made from here on is appended to."""
+    made = []
+
+    class Pool(concurrent.futures.thread.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor", Pool)
+    return made
+
+
 def at_threads(k, fn, *args):
     """fn(*args) with `dense.THREADS` set to k."""
     with pytest.MonkeyPatch.context() as mp:
@@ -621,33 +634,30 @@ class TestThreads:
     @pytest.mark.parametrize("threads", [2, 3])
     def test_one_map_per_block(self, monkeypatch, threads):
         # at 2^11 cells the 200-row block goes in 40 chunks of 5 rows at two
-        # threads and 67 of 3 at three; the kernel's one-thread maps inside
-        # each share are not counted
+        # threads and 67 of 3 at three; the kernel's maps inside each share,
+        # made while a map runs, are not counted
         monkeypatch.setattr(dn, "_COUNT_CELLS", 1 << 11)
         maps = []
         map_chunks = dn._map_chunks
-        monkeypatch.setattr(dn, "_map_chunks", lambda fn, chunks, *a: maps.append((len(chunks), *a))
-                            or map_chunks(fn, chunks, *a))
+
+        def counted(fn, chunks, *a):
+            if not getattr(dn._MAPPING, "nested", False):
+                maps.append((len(chunks), *a))
+            return map_chunks(fn, chunks, *a)
+
+        monkeypatch.setattr(dn, "_map_chunks", counted)
         upper = np.triu(substream(47).random((200, 200)) < 0.1, 1)
         adj = upper | upper.T
         comp = at_threads(threads, dn._subsample_counts, packed(adj), 2.0, None)
-        assert [m for m in maps if m[1:] != (1,)] == [(threads,)]
+        assert maps == [(threads,)]
         assert np.array_equal(comp, kept_partition(adj, 2.0, None))
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         # each call makes its own pool and returns only once its workers are gone:
         # at h = 1061 one for the block answer, one for phase 1 and one per
         # 1 024-row phase-2 block
-        made = []
-
-        class Pool(concurrent.futures.thread.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures.thread, "ThreadPoolExecutor", Pool)
+        made = counted_pools(monkeypatch)
         monkeypatch.setattr(dn, "THREADS", 2)
-        monkeypatch.setattr(ana, "usable_cores", lambda: 2)
         n, t, r_s, r_d = 1500, 2, 0.8, 0.4
         emb, labels = make_instance(n, t, r_s, r_d, seed=43)
         plan = th.dense_plan(n, t, r_s, r_d)
@@ -678,18 +688,42 @@ class TestThreads:
         assert done == [1 - bad]
         assert not gbmlab_threads()
 
-    def test_a_nested_map_raises_on_a_worker(self, monkeypatch):
-        # a worker may map on one thread, as a `_subsample_counts` share counts
-        # its pairs, but a map that would start threads from a worker raises
-        monkeypatch.setattr(dn, "THREADS", 2)
+    @pytest.mark.parametrize("threads", [2, 6])
+    def test_a_nested_map_runs_in_order_on_its_thread(self, monkeypatch, threads):
+        # outer chunk 0 runs on the caller's share and the others on workers; each
+        # runs its inner chunks in order on its own thread, with no pool of its
+        # own.  Six threads on fewer cores switch every microsecond
+        made = counted_pools(monkeypatch)
+        monkeypatch.setattr(dn, "THREADS", threads)
+        ran = []
 
-        def nested(threads):
-            return lambda i0, i1: dn._map_chunks(lambda j0, j1: j1 - j0, [(i0, i1), (i1, i1 + 2)], threads)
+        def inner(j0, j1):
+            ran.append((j0, threading.current_thread()))
+            return j1 - j0
 
-        assert dn._map_chunks(nested(1), [(0, 1), (1, 2)]) == [[1, 2], [1, 2]]
-        with pytest.raises(RuntimeError, match="from one of its own workers"):
-            dn._map_chunks(nested(None), [(0, 1), (1, 2)])
+        def outer(i0, i1):
+            return threading.current_thread(), dn._map_chunks(inner, [(10 * i0 + j, 10 * i0 + j + 1)
+                                                                     for j in range(3)])
+
+        outers = [(i, i + 1) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = dn._map_chunks(outer, outers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [counts for _, counts in got] == [[1, 1, 1]] * threads
+        assert got[0][0] is threading.current_thread()
+        assert all(t.name.startswith("gbmlab") for t, _ in got[1:])
+        for i, (t, _) in enumerate(got):
+            mine = [(j, u) for j, u in ran if j // 10 == i]
+            assert [j for j, _ in mine] == [10 * i, 10 * i + 1, 10 * i + 2]
+            assert all(u is t for _, u in mine)
+        assert len(ran) == 3 * threads and len(made) == 1
         assert not gbmlab_threads()
+        # the flag is cleared once the chunks are done: the next map starts a pool again
+        assert dn._map_chunks(outer, outers)[1][0].name.startswith("gbmlab")
+        assert len(made) == 2
 
     @staticmethod
     def cross_probes(make, threads):
